@@ -26,21 +26,11 @@ Requirements:
   same placement cycles as a naive cycle-by-cycle probe, faster on
   saturated tables.
 
-The ``--backends`` axis compares the **scalar** and **batched** numeric
-backends instead (both campaigns incremental): blocked Markov solves
-and vectorized power accumulation versus the classic one-system-at-a-
-time path.  Requirements mirror the incremental axis — bit-identical
-outputs everywhere, and on ``test2`` the batched campaign's numeric
-core (aggregated ``EvalStats.numeric_seconds``) is >= 1.5x faster.  Wall
-clock is reported honestly alongside, but the gate is the numeric core:
-campaign wall is dominated by list scheduling, which the backend does
-not touch.  The report goes to ``BENCH_numeric.json``.
-
-The ``--quick`` mode (used by the CI ``bench-smoke`` and
-``bench-numeric`` jobs) runs a small gcd campaign and enforces only the
-equivalence requirement — wall-clock ratios are reported but not
-asserted, so a loaded CI machine cannot produce a spurious failure; the
-report is still written.
+The ``--quick`` mode (used by the CI ``bench-smoke`` job) runs a small
+gcd campaign and enforces only the equivalence requirement — wall-clock
+ratios are reported but not asserted, so a loaded CI machine cannot
+produce a spurious failure; the report is still written to
+``BENCH_incremental.json``.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_incremental_eval.py
 """
@@ -69,13 +59,10 @@ CIRCUITS = ("gcd", "test2", "fir")
 SEEDS = 5
 OUTER_ITERS = 2
 MIN_SPEEDUP = 3.0
-MIN_NUMERIC_SPEEDUP = 1.5
-NUMERIC_GATE_CIRCUIT = "test2"
 
 
 def run_campaign(name: str, incremental: bool, seeds: Sequence[int],
-                 outer_iters: int = OUTER_ITERS,
-                 numeric_backend: str = "scalar"
+                 outer_iters: int = OUTER_ITERS
                  ) -> Tuple[float, List[Tuple], EvalStats, Dict]:
     """One campaign; returns (wall s, run outputs, eval stats, cache)."""
     c = circuit(name)
@@ -89,8 +76,7 @@ def run_campaign(name: str, incremental: bool, seeds: Sequence[int],
         fact = Fact(config=FactConfig(
             sched=c.sched,
             search=SearchConfig(seed=seed, max_outer_iters=outer_iters,
-                                workers=0, incremental=incremental,
-                                numeric_backend=numeric_backend)),
+                                workers=0, incremental=incremental)),
             region_caches=shared)
         for objective in (THROUGHPUT, POWER):
             res = fact.optimize(behavior, c.allocation,
@@ -137,119 +123,6 @@ def compare_circuit(name: str, seeds: Sequence[int],
         "full": full_stats.as_dict(),
         "region_cache": cache,
     }
-
-
-# -- numeric backend axis -----------------------------------------------
-
-def compare_backends(name: str, seeds: Sequence[int],
-                     outer_iters: int = OUTER_ITERS,
-                     repeats: int = 1) -> Dict:
-    """Scalar vs. batched numeric backend on one circuit.
-
-    Both campaigns run incrementally (the batch points live in the
-    incremental evaluation path); the record carries campaign wall
-    seconds *and* numeric-core seconds — the aggregated
-    ``EvalStats.numeric_seconds``, accrued inside the solves (matrix
-    assembly, LAPACK, validity checks) by both backends at the same
-    boundary — so the solve speedup is not drowned in list-scheduling
-    wall time.
-
-    ``repeats`` reruns each campaign and keeps the fastest numeric-core
-    time.  The campaigns are deterministic, so repeats only sample
-    machine noise — the many short numeric windows mid-campaign are
-    easily inflated by whatever else touched the caches — and the
-    minimum is the standard low-noise timing estimator.  Outputs from
-    every repeat must agree, which the identity check folds in.
-    """
-    sc_runs = [run_campaign(name, True, seeds, outer_iters,
-                            numeric_backend="scalar")
-               for _ in range(repeats)]
-    ba_runs = [run_campaign(name, True, seeds, outer_iters,
-                            numeric_backend="batched")
-               for _ in range(repeats)]
-    sc_wall, sc_out, sc_stats, _ = min(
-        sc_runs, key=lambda r: r[2].numeric_seconds)
-    ba_wall, ba_out, ba_stats, _ = min(
-        ba_runs, key=lambda r: r[2].numeric_seconds)
-    sc_num = sc_stats.numeric_seconds
-    ba_num = ba_stats.numeric_seconds
-    identical = all(r[1] == sc_out for r in sc_runs + ba_runs)
-    return {
-        "circuit": name,
-        "runs": len(sc_out),
-        "identical": identical,
-        "repeats": repeats,
-        "scalar_seconds": sc_wall,
-        "batched_seconds": ba_wall,
-        "wall_speedup": sc_wall / ba_wall if ba_wall > 0 else 0.0,
-        "scalar_numeric_seconds": sc_num,
-        "batched_numeric_seconds": ba_num,
-        "numeric_speedup": sc_num / ba_num if ba_num > 0 else 0.0,
-        "numeric_flushes": ba_stats.numeric_flushes,
-        "numeric_batched_systems": ba_stats.numeric_batched,
-        "scalar": sc_stats.as_dict(),
-        "batched": ba_stats.as_dict(),
-    }
-
-
-def run_backends(circuits: Sequence[str], seeds: Sequence[int],
-                 outer_iters: int, quick: bool,
-                 min_numeric_speedup: float) -> Tuple[Dict, int]:
-    """The backend experiment; returns (report, exit code)."""
-    from repro.numeric import batching_available
-
-    if not batching_available():
-        return {"skipped": "numpy batching unavailable"}, 0
-    # The gate circuit's ratio gets the min-of-repeats treatment; the
-    # ungated circuits only need one (identity-checked) pass each.
-    records = [compare_backends(
-        name, seeds, outer_iters,
-        repeats=2 if name == NUMERIC_GATE_CIRCUIT and not quick else 1)
-        for name in circuits]
-    report = {
-        "workload": {"circuits": list(circuits),
-                     "seeds": list(seeds),
-                     "objectives": [THROUGHPUT, POWER],
-                     "max_outer_iters": outer_iters,
-                     "quick": quick},
-        "circuits": records,
-        "gate_circuit": NUMERIC_GATE_CIRCUIT,
-        "min_numeric_speedup": min_numeric_speedup,
-    }
-    code = 0
-    for rec in records:
-        if not rec["identical"]:
-            print(f"FAIL: {rec['circuit']}: batched-backend output "
-                  f"diverges from the scalar baseline", file=sys.stderr)
-            code = 1
-    if code == 0 and not quick:
-        gated = [r for r in records
-                 if r["circuit"] == NUMERIC_GATE_CIRCUIT]
-        for rec in gated:
-            if rec["numeric_speedup"] < min_numeric_speedup:
-                print(f"FAIL: {rec['circuit']} numeric-core speedup "
-                      f"{rec['numeric_speedup']:.2f}x < "
-                      f"{min_numeric_speedup}x", file=sys.stderr)
-                code = 2
-    return report, code
-
-
-def _print_backend_report(report: Dict) -> None:
-    if "skipped" in report:
-        print(f"numeric backend axis skipped: {report['skipped']}")
-        return
-    print(f"{'circuit':8} {'scal s':>8} {'batch s':>8} {'wall x':>7} "
-          f"{'num scal':>9} {'num batch':>9} {'num x':>7} "
-          f"{'identical':>9} {'flushes':>8}")
-    for rec in report["circuits"]:
-        print(f"{rec['circuit']:8} {rec['scalar_seconds']:8.2f} "
-              f"{rec['batched_seconds']:8.2f} "
-              f"{rec['wall_speedup']:7.2f} "
-              f"{rec['scalar_numeric_seconds']:9.3f} "
-              f"{rec['batched_numeric_seconds']:9.3f} "
-              f"{rec['numeric_speedup']:7.2f} "
-              f"{str(rec['identical']):>9} "
-              f"{rec['numeric_flushes']:8d}")
 
 
 # -- observability no-op overhead guard ---------------------------------
@@ -436,19 +309,6 @@ def test_freelist_equivalent(benchmark):
     assert fl["ops"] == 500
 
 
-def test_numeric_backends_identical(benchmark):
-    """Quick campaign: both numeric backends agree bit-for-bit on gcd."""
-    import pytest
-
-    from repro.numeric import batching_available
-    from .conftest import once
-    if not batching_available():
-        pytest.skip("numpy batching unavailable")
-    rec = once(benchmark, lambda: compare_backends("gcd", range(2)))
-    assert rec["identical"]
-    assert rec["numeric_flushes"] > 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -464,17 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP,
                         help=f"required speedup on the slowest circuit "
                              f"({MIN_SPEEDUP})")
-    parser.add_argument("--backends", action="store_true",
-                        help="compare numeric backends (scalar vs. "
-                             "batched) instead of evaluation modes")
-    parser.add_argument("--min-numeric-speedup", type=float,
-                        default=MIN_NUMERIC_SPEEDUP,
-                        help=f"required numeric-core speedup on "
-                             f"{NUMERIC_GATE_CIRCUIT} with --backends "
-                             f"({MIN_NUMERIC_SPEEDUP})")
-    parser.add_argument("--out", default=None,
-                        help="report path (BENCH_incremental.json, or "
-                             "BENCH_numeric.json with --backends)")
+    parser.add_argument("--out", default="BENCH_incremental.json",
+                        help="report path (BENCH_incremental.json)")
     args = parser.parse_args(argv)
     if args.quick:
         circuits = args.circuits or ["gcd"]
@@ -482,21 +333,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         circuits = args.circuits or list(CIRCUITS)
         seeds = range(args.seeds)
-    if args.backends:
-        out = args.out or "BENCH_numeric.json"
-        report, code = run_backends(circuits, list(seeds), args.iters,
-                                    args.quick,
-                                    args.min_numeric_speedup)
-        printer = _print_backend_report
-    else:
-        out = args.out or "BENCH_incremental.json"
-        report, code = run_all(circuits, list(seeds), args.iters,
-                               args.quick, args.min_speedup)
-        printer = _print_report
-    with open(out, "w") as fh:
+    report, code = run_all(circuits, list(seeds), args.iters,
+                           args.quick, args.min_speedup)
+    with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    printer(report)
-    print(f"report written to {out}")
+    _print_report(report)
+    print(f"report written to {args.out}")
     return code
 
 

@@ -21,8 +21,9 @@ from repro.bench.circuits import circuit
 from repro.bench.table2 import (PowerRow, ThroughputRow, run_power_row,
                                 run_throughput_row)
 from repro.core.search import SearchConfig
-from repro.explore import ExploreConfig, ExploreResult, ExploreRunner
+from repro.explore import ExploreConfig, ExploreRunner
 from repro.profiling.profiler import profile
+from repro.service.jobs import JobResult
 
 CIRCUIT = "fir"
 TOLERANCE = 0.05
@@ -41,7 +42,7 @@ def _rows() -> Tuple[ThroughputRow, PowerRow]:
     return _RUNS["rows"]
 
 
-def _explore(tmp_root) -> ExploreResult:
+def _explore(tmp_root) -> JobResult:
     if "explore" not in _RUNS:
         c = circuit(CIRCUIT)
         beh = c.behavior()
@@ -58,7 +59,7 @@ def _explore(tmp_root) -> ExploreResult:
 
 
 def _report(thr: ThroughputRow, pwr: PowerRow,
-            result: ExploreResult) -> str:
+            result: JobResult) -> str:
     front = result.front
     best_t = front.best(0).objectives[0]
     best_p = front.best(1).objectives[1]

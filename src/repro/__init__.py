@@ -38,8 +38,8 @@ Subsystems (all importable directly, as before):
 * :mod:`repro.bench` — the paper's benchmark circuits and allocations.
 """
 
-from .api import (AllocLike, CacheStats, ExploreConfig, ExploreResult,
-                  JobQueue, JobRecord, JobResult, JobSpec, JobState,
+from .api import (AllocLike, CacheStats, ExploreConfig, JobQueue,
+                  JobRecord, JobResult, JobSpec, JobState,
                   NULL_TRACER, ParetoFront, ReproConfig, RunStore,
                   Tracer, coerce_allocation, compile,
                   default_branch_probs, explore, optimize, result,
@@ -55,13 +55,12 @@ from .sched.types import SchedConfig
 __version__ = "0.3.0"
 
 __all__ = [
-    "Allocation", "AllocLike", "CacheStats", "ExploreConfig",
-    "ExploreResult", "Fact", "FactConfig", "FactResult", "JobQueue",
-    "JobRecord", "JobResult", "JobSpec", "JobState", "Library",
-    "MetricsRegistry", "NULL_TRACER", "POWER", "ParetoFront",
-    "ReproConfig", "ReproError", "RunStore", "SearchConfig",
-    "SearchResult", "SchedConfig", "THROUGHPUT", "Tracer",
-    "coerce_allocation", "compile", "dac98_library",
+    "Allocation", "AllocLike", "CacheStats", "ExploreConfig", "Fact",
+    "FactConfig", "FactResult", "JobQueue", "JobRecord", "JobResult",
+    "JobSpec", "JobState", "Library", "MetricsRegistry", "NULL_TRACER",
+    "POWER", "ParetoFront", "ReproConfig", "ReproError", "RunStore",
+    "SearchConfig", "SearchResult", "SchedConfig", "THROUGHPUT",
+    "Tracer", "coerce_allocation", "compile", "dac98_library",
     "default_branch_probs", "explore", "optimize", "result",
     "schedule", "status", "submit", "__version__",
 ]

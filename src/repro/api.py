@@ -43,8 +43,7 @@ from .core.evalcache import CacheStats
 from .core.fact import Fact, FactConfig, FactResult
 from .core.search import SearchConfig
 from .errors import ConfigError
-from .explore import (ExploreConfig, ExploreResult, ExploreRunner,
-                      ParetoFront, RunStore)
+from .explore import ExploreConfig, ExploreRunner, ParetoFront, RunStore
 from .hw import Allocation, Library, dac98_library
 from .lang import compile_source
 from .obs.trace import NULL_TRACER, AnyTracer, Tracer
@@ -72,15 +71,10 @@ class ReproConfig:
         ReproConfig(workers=4)                      # engine knob only
         ReproConfig(fact=FactConfig(vdd=3.3))       # full control
 
-    ``workers`` / ``cache_size`` / ``incremental`` /
-    ``numeric_backend`` / ``streaming``, when given, override the
-    evaluation engine knobs inside the search section
+    ``workers`` / ``cache_size`` / ``incremental``, when given,
+    override the evaluation engine knobs inside the search section
     (``incremental=False`` disables region-level schedule memoization —
-    same results, no reuse; ``numeric_backend="batched"`` stacks
-    candidate Markov solves into blocked linear-algebra calls;
-    ``streaming=True`` pipelines each generation through
-    ``evaluate_stream`` instead of the barrier — all bit-identical
-    results; see ``docs/performance.md`` and ``docs/pipeline.md``).
+    same results, no reuse; see ``docs/performance.md``).
 
     ``trace`` attaches a :class:`~repro.obs.trace.Tracer`: the run
     records nested spans (compile / schedule / evaluate /
@@ -96,8 +90,6 @@ class ReproConfig:
     workers: Optional[int] = None
     cache_size: Optional[int] = None
     incremental: Optional[bool] = None
-    numeric_backend: Optional[str] = None
-    streaming: Optional[bool] = None
     trace: Optional[AnyTracer] = None
 
     def resolved(self) -> FactConfig:
@@ -114,10 +106,6 @@ class ReproConfig:
             updates["cache_size"] = self.cache_size
         if self.incremental is not None:
             updates["incremental"] = self.incremental
-        if self.numeric_backend is not None:
-            updates["numeric_backend"] = self.numeric_backend
-        if self.streaming is not None:
-            updates["streaming"] = self.streaming
         if updates:
             fact.search = replace(fact.search, **updates)
         return fact
@@ -288,7 +276,6 @@ def explore(behavior_or_source: Union[Behavior, str], *,
             workers: Optional[int] = None,
             seed: Optional[int] = None,
             generations: Optional[int] = None,
-            streaming: Optional[bool] = None,
             trace: Optional[AnyTracer] = None) -> JobResult:
     """Map the throughput / power / area trade-off surface.
 
@@ -320,10 +307,8 @@ def explore(behavior_or_source: Union[Behavior, str], *,
         resume: continue an interrupted run from its checkpoint;
             the exploration trajectory — and the exported front — are
             bit-for-bit identical to an uninterrupted run.
-        workers / seed / generations / streaming: convenience overrides
-            for the corresponding ``config`` fields (``streaming``
-            pipelines each generation — byte-identical fronts; see
-            ``docs/pipeline.md``).
+        workers / seed / generations: convenience overrides for the
+            corresponding ``config`` fields.
         trace: a :class:`~repro.obs.trace.Tracer` recording the run;
             traced and untraced runs export byte-identical fronts.
     """
@@ -336,8 +321,6 @@ def explore(behavior_or_source: Union[Behavior, str], *,
         updates["seed"] = seed
     if generations is not None:
         updates["generations"] = generations
-    if streaming is not None:
-        updates["streaming"] = streaming
     if updates:
         cfg = replace(cfg, **updates)
     if branch_probs is None and traces is None:
@@ -439,9 +422,9 @@ def result(job_id: str, *,
 
 
 __all__ = [
-    "AllocLike", "CacheStats", "ExploreConfig", "ExploreResult",
-    "JobQueue", "JobRecord", "JobResult", "JobSpec", "JobState",
-    "NULL_TRACER", "ParetoFront", "ReproConfig", "RunStore", "Tracer",
-    "coerce_allocation", "compile", "default_branch_probs", "explore",
-    "optimize", "result", "schedule", "status", "submit",
+    "AllocLike", "CacheStats", "ExploreConfig", "JobQueue", "JobRecord",
+    "JobResult", "JobSpec", "JobState", "NULL_TRACER", "ParetoFront",
+    "ReproConfig", "RunStore", "Tracer", "coerce_allocation", "compile",
+    "default_branch_probs", "explore", "optimize", "result", "schedule",
+    "status", "submit",
 ]

@@ -207,8 +207,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                             incremental=not args.no_incremental,
                             incremental_enumeration=(
                                 not args.no_incremental_enum),
-                            numeric_backend=args.numeric_backend,
-                            streaming=args.streaming,
                             **_strategy_fields(args)),
         workers=args.workers)
     result = api.optimize(
@@ -246,8 +244,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                            incremental=not args.no_incremental,
                            incremental_enumeration=(
                                not args.no_incremental_enum),
-                           numeric_backend=args.numeric_backend,
-                           streaming=args.streaming,
                            **_strategy_fields(args))
     config = ExploreConfig(
         generations=args.generations,
@@ -258,9 +254,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         warm_start_transfer=args.warm_start_transfer,
         sched=SchedConfig(clock=args.clock), search=search,
         incremental=not args.no_incremental,
-        incremental_enumeration=not args.no_incremental_enum,
-        numeric_backend=args.numeric_backend,
-        streaming=args.streaming)
+        incremental_enumeration=not args.no_incremental_enum)
     result = api.explore(
         behavior, config=config, alloc=args.alloc,
         profile_traces=args.profile_traces, store=args.store,
@@ -312,7 +306,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     processed = serve(queue=args.queue, store=args.store,
                       workers=workers, once=args.once, poll=args.poll,
                       isolate_stores=args.isolate_stores,
-                      streaming=args.streaming,
                       tracer=tracer, metrics=metrics)
     _export_trace(args, tracer, metrics.as_dict())
     print(f"served {processed} job(s) "
@@ -639,17 +632,6 @@ def _add_incremental_args(p: argparse.ArgumentParser) -> None:
                    help="disable incremental candidate enumeration "
                         "(identical results, slower; the benchmark "
                         "baseline)")
-    p.add_argument("--numeric-backend", choices=("scalar", "batched"),
-                   default="scalar",
-                   help="linear-algebra core for candidate evaluation: "
-                        "'batched' stacks Markov solves into blocked "
-                        "LAPACK calls (identical results; see "
-                        "docs/performance.md)")
-    p.add_argument("--streaming", action="store_true",
-                   help="pipeline each generation through the "
-                        "streaming evaluator instead of the "
-                        "generation barrier (identical results; see "
-                        "docs/pipeline.md)")
 
 
 def _add_explore_args(p: argparse.ArgumentParser) -> None:
@@ -807,10 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isolate-stores", action="store_true",
                    help="give each job a private sub-store, merged "
                         "into the main store on completion")
-    p.add_argument("--streaming", action="store_true",
-                   help="run shard campaigns through the streaming "
-                        "evaluation pipeline (identical fronts; see "
-                        "docs/pipeline.md)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -30,24 +30,20 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (FIRST_COMPLETED, Executor, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import astuple, dataclass
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cdfg.ir import _digest
 from ..cdfg.regions import Behavior
 from ..errors import ReproError, SearchError
 from ..hw import Allocation, Library
-from ..numeric import get_backend, set_backend
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, AnyTracer, Tracer
 from ..stg import markov as _markov
-from ..sched.driver import ScheduleResult, Scheduler, resolve_visits
+from ..sched.driver import ScheduleResult, Scheduler
 from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import BranchProbs, ResourceModel, SchedConfig
-from ..stream import AdmissionPolicy, StreamStats
 from .evalcache import CacheStats, EvalCache, cached_fingerprint
 from .objectives import Objective
 from .telemetry import EvalStats
@@ -112,23 +108,6 @@ class EvalBudget:
         return self.limit is not None and self.spent >= self.limit
 
 
-@dataclass
-class _Deferred:
-    """A candidate scheduled with its visit resolution still pending.
-
-    Produced by :meth:`EvaluationEngine._defer_one`; consumed (flushed,
-    spliced and scored) by :meth:`EvaluationEngine._resolve_deferred`.
-    """
-
-    behavior: Behavior
-    key: Optional[str]
-    span: object
-    stats: EvalStats
-    pending: Optional[object]
-    result: Optional[ScheduleResult]
-    error: Optional[ReproError]
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Effective worker count: explicit arg, else ``REPRO_WORKERS``, else 0.
 
@@ -171,8 +150,6 @@ class _EvalContext:
     incremental: bool = True
     region_cache_size: int = 4096
     traced: bool = False
-    #: numeric backend name; installed per process (see _init_worker).
-    numeric_backend: str = "scalar"
 
     def make_region_cache(self) -> Optional[RegionScheduleCache]:
         """A region-schedule cache bound to this context.
@@ -231,47 +208,6 @@ def _datapath_cost(behavior: Behavior, library: Library,
     return sum(rm.delay_of(nid) for nid in behavior.graph.node_ids())
 
 
-def _counters_before(region_cache: Optional[RegionScheduleCache],
-                     numeric) -> Tuple:
-    """Snapshot of every per-candidate counter source."""
-    return (region_cache.snapshot() if region_cache is not None else None,
-            numeric.snapshot(), numeric.solve_seconds)
-
-
-def _accrue_counters(stats: EvalStats, before: Tuple,
-                     region_cache: Optional[RegionScheduleCache],
-                     numeric) -> None:
-    """Add the counter deltas since ``before`` onto ``stats``."""
-    cache_before, nb_before, seconds_before = before
-    nb_after = numeric.snapshot()
-    stats.numeric_flushes += nb_after[0] - nb_before[0]
-    stats.numeric_batched += nb_after[1] - nb_before[1]
-    stats.numeric_seconds += numeric.solve_seconds - seconds_before
-    if region_cache is None or cache_before is None:
-        return
-    after = region_cache.snapshot()
-    stats.region_hits += after[0] - cache_before[0]
-    stats.region_requests += ((after[0] - cache_before[0])
-                              + (after[1] - cache_before[1]))
-    stats.markov_local += after[2] - cache_before[2]
-    stats.markov_reused += after[3] - cache_before[3]
-    stats.markov_full += after[4] - cache_before[4]
-    stats.solver_time += after[5] - cache_before[5]
-    stats.states_built += after[6] - cache_before[6]
-    stats.states_reused += after[7] - cache_before[7]
-    stats.region_evictions += after[8] - cache_before[8]
-
-
-def _set_result_attrs(span, score: float, stats: EvalStats) -> None:
-    # inf is not valid JSON; unschedulable candidates carry the
-    # `unschedulable` attribute instead of a score.
-    span.set(score=score if score != float("inf") else None,
-             region_hits=stats.region_hits,
-             states_built=stats.states_built,
-             states_reused=stats.states_reused,
-             reschedule_fraction=round(stats.reschedule_fraction, 4))
-
-
 def _score_one(ctx: _EvalContext, behavior: Behavior,
                region_cache: Optional[RegionScheduleCache],
                tracer: AnyTracer = NULL_TRACER,
@@ -285,8 +221,9 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
     with tracer.span("evaluate", cache="miss") as span:
         if key is not None:
             span.set(candidate=key[:16])
-        numeric = get_backend()
-        before = _counters_before(region_cache, numeric)
+        before = region_cache.snapshot() \
+            if region_cache is not None else None
+        solve_before = _markov.solve_seconds()
         stats = EvalStats(scheduled=1)
         t0 = time.perf_counter()
         try:
@@ -301,10 +238,29 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
             result, score = None, float("inf")
             span.set(unschedulable=type(err).__name__)
         stats.sched_time = time.perf_counter() - t0
-        _accrue_counters(stats, before, region_cache, numeric)
-        if region_cache is None and result is not None:
-            stats.states_built = len(result.stg.states)
-        _set_result_attrs(span, score, stats)
+        stats.numeric_seconds = _markov.solve_seconds() - solve_before
+        if region_cache is None or before is None:
+            if result is not None:
+                stats.states_built = len(result.stg.states)
+        else:
+            after = region_cache.snapshot()
+            (stats.region_hits, stats.region_requests, stats.markov_local,
+             stats.markov_reused, stats.markov_full, stats.solver_time,
+             stats.states_built, stats.states_reused,
+             stats.region_evictions) = (
+                after[0] - before[0],
+                (after[0] - before[0]) + (after[1] - before[1]),
+                after[2] - before[2], after[3] - before[3],
+                after[4] - before[4], after[5] - before[5],
+                after[6] - before[6], after[7] - before[7],
+                after[8] - before[8])
+        # inf is not valid JSON; unschedulable candidates carry the
+        # `unschedulable` attribute instead of a score.
+        span.set(score=score if score != float("inf") else None,
+                 region_hits=stats.region_hits,
+                 states_built=stats.states_built,
+                 states_reused=stats.states_reused,
+                 reschedule_fraction=round(stats.reschedule_fraction, 4))
         return result, score, stats
 
 
@@ -324,10 +280,6 @@ def _init_worker(ctx: _EvalContext) -> None:
     # parent re-parents them under its open span via Tracer.adopt.
     _WORKER_TRACER = Tracer() if ctx.traced else NULL_TRACER
     _markov.set_tracer(_WORKER_TRACER)
-    # Like the tracer, the numeric backend is process-local state: each
-    # worker installs its own instance (the counters it accumulates are
-    # shipped home per candidate via EvalStats).
-    set_backend(ctx.numeric_backend)
 
 
 def _eval_worker(behavior: Behavior
@@ -363,7 +315,6 @@ class EvaluationEngine:
                  incremental: bool = True,
                  region_cache_size: int = 4096,
                  region_cache: Optional[RegionScheduleCache] = None,
-                 numeric_backend: str = "scalar",
                  tracer: Optional[AnyTracer] = None
                  ) -> None:
         self.tracer: AnyTracer = tracer if tracer is not None \
@@ -373,12 +324,7 @@ class EvaluationEngine:
                                  branch_probs, objective,
                                  incremental=incremental,
                                  region_cache_size=region_cache_size,
-                                 traced=bool(self.tracer.enabled),
-                                 numeric_backend=numeric_backend)
-        # Installed for this process too (the serial backend and batch
-        # leftovers evaluate inline); resolve_backend falls back to
-        # scalar when batching prerequisites are missing.
-        set_backend(numeric_backend)
+                                 traced=bool(self.tracer.enabled))
         self.workers = resolve_workers(workers)
         self.cache = EvalCache(max_entries=cache_size)
         #: (parent raw fingerprint × match fingerprint) -> behavior
@@ -407,16 +353,10 @@ class EvaluationEngine:
             self._region_cache = self._ctx.make_region_cache()
         #: aggregated incremental-evaluation counters (all backends)
         self.eval_stats = EvalStats()
-        #: streaming-pipeline counters (populated by evaluate_stream)
-        self.stream_stats = StreamStats()
         #: total evaluation requests (cache hits included)
         self.requests = 0
         self._pool: Optional[Executor] = None
         self._pool_broken = False
-        #: detached speculative futures left running across stream
-        #: boundaries, keyed like the evaluation cache (see
-        #: :meth:`evaluate_stream` on the detach protocol)
-        self._carried: Dict[str, Future] = {}
         self._context_fp = self._fingerprint_context()
         if self.tracer.enabled:
             # markov.solve spans come from deep inside the scheduler;
@@ -480,8 +420,6 @@ class EvaluationEngine:
         reg.absorb_cache_stats("engine.cache", self.cache.stats)
         reg.absorb_cache_stats("engine.pair_keys", self._pair_keys.stats)
         reg.absorb_eval_stats(self.eval_stats)
-        if self.stream_stats.enqueued:
-            reg.absorb_stream_stats(self.stream_stats)
         return reg
 
     @property
@@ -514,308 +452,6 @@ class EvaluationEngine:
         with self.tracer.span("evaluate.batch", size=len(pairs)) as span:
             outputs = self._evaluate_batch(pairs, span)
         return outputs
-
-    def evaluate_stream(self, pairs: Iterable[Tuple[Behavior,
-                                                    Tuple[str, ...]]],
-                        *, policy: Optional[AdmissionPolicy] = None,
-                        stats: Optional[StreamStats] = None
-                        ) -> Iterator[Tuple[int, Evaluated]]:
-        """Score candidates as a stream, yielding in completion order.
-
-        The streaming twin of :meth:`evaluate_batch`: ``pairs`` may be
-        any iterable (a lazy generator works — it is consumed only as
-        window slots free up, which is what lets a caller append
-        speculative work once real work runs out), and results are
-        yielded as ``(input_index, Evaluated)`` the moment they finish
-        rather than behind a generation barrier.  Per-candidate outputs
-        are byte-identical to the barrier path; only the yield order
-        differs, and reassembling by index reproduces
-        ``evaluate_batch(pairs)`` exactly.
-
-        With the process backend, up to ``policy.effective_window``
-        evaluations are in flight at once and the main process overlaps
-        downstream work (measuring, store writes, front admission) with
-        them.  Serially, the batched numeric backend defers Markov visit
-        resolution and flushes dirty fragments opportunistically every
-        ``policy.flush_size`` candidates — any flush composition is
-        bit-identical (see :meth:`_score_generation`).
-
-        Duplicates and cache hits are handled exactly like
-        ``evaluate_batch``: an in-flight duplicate merges onto the first
-        submission (a cache hit, stats-wise) and is yielded when its
-        evaluation lands.
-
-        Item protocol — ``pairs`` may interleave three item shapes:
-
-        * ``(behavior, lineage)`` — ordinary work, indexed in arrival
-          order (indices count work items only);
-        * ``(behavior, lineage, True)`` — *detachable* (speculative)
-          work: if such an evaluation is still running when every other
-          item has finished, its future is stashed on the engine
-          instead of being waited for, and a later ``evaluate_stream``
-          on this engine adopts it mid-flight (or harvests its result
-          into the evaluation cache).  A stream therefore never blocks
-          on speculation.  Requires the evaluation cache (pool backend
-          only; the flag is ignored serially, where nothing outlives
-          the call);
-        * ``None`` — "no work available *yet*": the stream stops
-          topping up the window and re-pulls the source after the next
-          completion.  A lazy source uses this to defer speculative
-          decisions until more results have landed.  Yielding ``None``
-          with nothing in flight is an error (the stream could never
-          wake up again).
-        """
-        policy = policy if policy is not None else AdmissionPolicy()
-        stats = stats if stats is not None else self.stream_stats
-        source = iter(pairs)
-        with self.tracer.span("evaluate.stream") as span:
-            if self.workers >= 2:
-                pool = self._ensure_pool()
-                if pool is not None:
-                    yield from self._stream_pool(source, pool, policy,
-                                                 stats, span)
-                    return
-            yield from self._stream_serial(source, policy, stats, span)
-
-    def _harvest_carried(self, stats: StreamStats) -> None:
-        """Absorb finished carried-over (detached) evaluations.
-
-        Called on stream entry: detached futures that completed between
-        streams land in the evaluation cache, so this stream's
-        duplicates hit instead of resubmitting.  Unfinished ones stay
-        carried, available for mid-flight adoption.
-        """
-        for key, fut in list(self._carried.items()):
-            if not fut.done():
-                continue
-            del self._carried[key]
-            try:
-                (result, score, st), payload = fut.result()
-            except Exception:
-                continue  # worker died mid-flight: just resubmit later
-            self.eval_stats.add(st)
-            if payload:
-                self.tracer.adopt(payload,
-                                  root_attrs={"candidate": key[:16]})
-            self.cache.put(key, (result, score))
-            stats.completed += 1
-
-    def _stream_pool(self, source, pool: Executor,
-                     policy: AdmissionPolicy, stats: StreamStats,
-                     span) -> Iterator[Tuple[int, Evaluated]]:
-        window = policy.effective_window(self.workers)
-        use_cache = self.cache.max_entries > 0
-        traced = self.tracer.enabled
-        # future -> [key, [(input index, behavior, lineage), ...],
-        #            detachable]
-        inflight: Dict[Future, List] = {}
-        by_key: Dict[str, Future] = {}
-        n_items = n_hits = n_scheduled = 0
-        next_i = 0
-        exhausted = False
-        self._harvest_carried(stats)
-        while not exhausted or inflight:
-            stalled = False
-            while not exhausted and not stalled \
-                    and len(inflight) < window:
-                try:
-                    item = next(source)
-                except StopIteration:
-                    exhausted = True
-                    break
-                if item is None:
-                    # "No work yet": re-pull after the next completion.
-                    if not inflight:
-                        raise RuntimeError(
-                            "stream source yielded None with nothing "
-                            "in flight; the stream could never wake")
-                    stalled = True
-                    break
-                behavior, lineage = item[0], item[1]
-                detach = use_cache and len(item) > 2 and bool(item[2])
-                i = next_i
-                next_i += 1
-                self.requests += 1
-                stats.enqueued += 1
-                n_items += 1
-                key = None
-                if use_cache:
-                    key = self._key_with_provenance(behavior)
-                    fut = by_key.get(key)
-                    if fut is not None:
-                        # Duplicate of an in-flight key: merged, counts
-                        # as a hit (same as the barrier path).
-                        self.cache.stats.hits += 1
-                        stats.merged += 1
-                        n_hits += 1
-                        entry = inflight[fut]
-                        entry[1].append((i, behavior, lineage))
-                        if not detach:
-                            # A real waiter pins a speculative future.
-                            entry[2] = False
-                        continue
-                    cached = self.cache.get(key)
-                    if cached is not None:
-                        result, score = cached
-                        stats.cache_hits += 1
-                        n_hits += 1
-                        if traced:
-                            with self.tracer.span("evaluate") as hspan:
-                                hspan.set(
-                                    candidate=key[:16], cache="hit",
-                                    score=score
-                                    if score != float("inf") else None)
-                        yield i, Evaluated(behavior, result, score,
-                                           lineage)
-                        continue
-                else:
-                    self.cache.stats.misses += 1
-                fut = self._carried.pop(key, None) \
-                    if key is not None else None
-                if fut is not None:
-                    # Adopt a carried-over speculative evaluation that
-                    # is still in flight from an earlier stream.
-                    stats.adopted += 1
-                else:
-                    fut = pool.submit(_eval_worker, behavior)
-                    stats.submitted += 1
-                inflight[fut] = [key, [(i, behavior, lineage)], detach]
-                if key is not None:
-                    by_key[key] = fut
-                n_scheduled += 1
-                if len(inflight) > stats.max_inflight:
-                    stats.max_inflight = len(inflight)
-            if exhausted and inflight \
-                    and all(entry[2] for entry in inflight.values()):
-                # Only detached speculative work is left: stash the
-                # futures on the engine instead of waiting out the
-                # tail.  A later stream adopts or harvests them; the
-                # caller sees this stream end the moment its own work
-                # is done.
-                for fut, (key, _waiters, _d) in inflight.items():
-                    self._carried[key] = fut
-                    stats.carried += 1
-                inflight.clear()
-                by_key.clear()
-                break
-            if not inflight:
-                continue
-            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-            for fut in done:
-                key, waiters, _detach = inflight.pop(fut)
-                if key is not None:
-                    # Later duplicates now hit the evaluation cache.
-                    by_key.pop(key, None)
-                (result, score, st), payload = fut.result()
-                self.eval_stats.add(st)
-                if payload:
-                    attrs = {"candidate": key[:16]} \
-                        if key is not None else None
-                    self.tracer.adopt(payload, root_attrs=attrs)
-                if key is not None:
-                    self.cache.put(key, (result, score))
-                stats.completed += 1
-                for j, (i, behavior, lineage) in enumerate(waiters):
-                    yield i, Evaluated(behavior, result, score, lineage,
-                                       st if j == 0 else None)
-        span.set(size=n_items, cache_hits=n_hits, scheduled=n_scheduled)
-
-    def _stream_serial(self, source, policy: AdmissionPolicy,
-                       stats: StreamStats,
-                       span) -> Iterator[Tuple[int, Evaluated]]:
-        use_cache = self.cache.max_entries > 0
-        traced = self.tracer.enabled
-        numeric = get_backend()
-        defer = numeric.batched and self._region_cache is not None
-        flush_at = policy.effective_flush()
-        buf: List[_Deferred] = []
-        # waiters per buffer slot: [(input index, behavior, lineage)]
-        metas: List[List] = []
-        by_key: Dict[str, int] = {}
-        n_items = n_hits = n_scheduled = 0
-
-        def flush() -> List[Tuple[int, Evaluated]]:
-            scored = self._resolve_deferred(buf)
-            out: List[Tuple[int, Evaluated]] = []
-            for entry, waiters, (result, score, st) in zip(buf, metas,
-                                                           scored):
-                if entry.key is not None:
-                    self.cache.put(entry.key, (result, score))
-                self.eval_stats.add(st)
-                stats.completed += 1
-                for j, (i, behavior, lineage) in enumerate(waiters):
-                    out.append((i, Evaluated(behavior, result, score,
-                                             lineage,
-                                             st if j == 0 else None)))
-            buf.clear()
-            metas.clear()
-            by_key.clear()
-            stats.flushes += 1
-            return out
-
-        next_i = 0
-        for item in source:
-            if item is None:
-                # Serially there is nothing to overlap with: a "not
-                # yet" marker is just skipped (the source sees its own
-                # state advance only through the results we yield).
-                continue
-            behavior, lineage = item[0], item[1]
-            i = next_i
-            next_i += 1
-            self.requests += 1
-            stats.enqueued += 1
-            n_items += 1
-            key = None
-            if use_cache:
-                key = self._key_with_provenance(behavior)
-                pos = by_key.get(key)
-                if pos is not None:
-                    self.cache.stats.hits += 1
-                    stats.merged += 1
-                    n_hits += 1
-                    metas[pos].append((i, behavior, lineage))
-                    continue
-                cached = self.cache.get(key)
-                if cached is not None:
-                    result, score = cached
-                    stats.cache_hits += 1
-                    n_hits += 1
-                    if traced:
-                        with self.tracer.span("evaluate") as hspan:
-                            hspan.set(
-                                candidate=key[:16], cache="hit",
-                                score=score
-                                if score != float("inf") else None)
-                    yield i, Evaluated(behavior, result, score, lineage)
-                    continue
-            else:
-                self.cache.stats.misses += 1
-            stats.submitted += 1
-            n_scheduled += 1
-            if defer:
-                buf.append(self._defer_one(behavior, key))
-                metas.append([(i, behavior, lineage)])
-                if key is not None:
-                    by_key[key] = len(buf) - 1
-                if len(buf) > stats.max_inflight:
-                    stats.max_inflight = len(buf)
-                if len(buf) >= flush_at:
-                    yield from flush()
-            else:
-                result, score, st = _score_one(self._ctx, behavior,
-                                               self._region_cache,
-                                               self.tracer, key)
-                if key is not None:
-                    self.cache.put(key, (result, score))
-                self.eval_stats.add(st)
-                stats.completed += 1
-                if stats.max_inflight < 1:
-                    stats.max_inflight = 1
-                yield i, Evaluated(behavior, result, score, lineage, st)
-        if buf:
-            yield from flush()
-        span.set(size=n_items, cache_hits=n_hits, scheduled=n_scheduled)
 
     def _evaluate_batch(self, pairs: Sequence[Tuple[Behavior,
                                                     Tuple[str, ...]]],
@@ -889,126 +525,12 @@ class EvaluationEngine:
                         self.tracer.adopt(payload, root_attrs=attrs)
                     scored.append(triple)
                 return scored
-        numeric = get_backend()
-        if (numeric.batched and self._region_cache is not None
-                and len(behaviors) >= 2):
-            scored = self._score_generation(behaviors, keys)
-        else:
-            scored = [_score_one(self._ctx, b, self._region_cache,
-                                 self.tracer,
-                                 keys[i] if keys is not None else None)
-                      for i, b in enumerate(behaviors)]
+        scored = [_score_one(self._ctx, b, self._region_cache,
+                             self.tracer,
+                             keys[i] if keys is not None else None)
+                  for i, b in enumerate(behaviors)]
         for _result, _score, st in scored:
             self.eval_stats.add(st)
-        return scored
-
-    def _score_generation(self, behaviors: List[Behavior],
-                          keys: Optional[List[str]]
-                          ) -> List[Tuple[Optional[ScheduleResult], float,
-                                          EvalStats]]:
-        """Serial scoring with generation-deferred visit solves.
-
-        The cross-candidate batch point of the batched numeric backend
-        (`docs/performance.md`): every candidate is scheduled first with
-        its final spliced-visit assembly deferred (:meth:`_defer_one`),
-        then *all* candidates' dirty fragments are solved in one flush
-        and each candidate is spliced and scored
-        (:meth:`_resolve_deferred`).  Each sub-chain's solution is
-        independent of its flushmates and fragments shared between
-        candidates are solved once and memo-reused exactly as the
-        sequential walk would have, so scores, STGs and visit totals are
-        bit-identical to :func:`_score_one` — for *any* flush
-        composition, which is why the streaming path may flush smaller
-        opportunistic sub-batches through the very same helpers.
-        """
-        deferred = [self._defer_one(b, keys[i] if keys is not None
-                                    else None)
-                    for i, b in enumerate(behaviors)]
-        return self._resolve_deferred(deferred)
-
-    def _defer_one(self, behavior: Behavior,
-                   key: Optional[str]) -> "_Deferred":
-        """Schedule one behavior with its final visit assembly deferred.
-
-        Phase 1 of the deferred-visits protocol: the scheduler runs with
-        ``defer_visits=True`` and the resulting :class:`PendingVisits`
-        is parked on the returned record until a later
-        :meth:`_resolve_deferred` flushes it.
-        """
-        ctx, cache, tracer = self._ctx, self._region_cache, self.tracer
-        numeric = get_backend()
-        stats = EvalStats(scheduled=1)
-        before = _counters_before(cache, numeric)
-        t0 = time.perf_counter()
-        pending = result = error = None
-        with tracer.span("evaluate", cache="miss") as span:
-            if key is not None:
-                span.set(candidate=key[:16])
-            try:
-                scheduler = Scheduler(behavior, ctx.library,
-                                      ctx.allocation, ctx.sched_config,
-                                      ctx.branch_probs,
-                                      region_cache=cache,
-                                      tracer=tracer,
-                                      defer_visits=True)
-                result = scheduler.schedule()
-                pending = scheduler.pending
-            except ReproError as err:
-                error = err
-        stats.sched_time = time.perf_counter() - t0
-        _accrue_counters(stats, before, cache, numeric)
-        return _Deferred(behavior, key, span, stats, pending, result,
-                         error)
-
-    def _resolve_deferred(self, deferred: List["_Deferred"]
-                          ) -> List[Tuple[Optional[ScheduleResult], float,
-                                          EvalStats]]:
-        """Flush and score a batch of deferred candidates (phases 2+3).
-
-        One :func:`repro.sched.driver.resolve_visits` call solves every
-        candidate's dirty fragments together; the communal flush's
-        counters are booked as one extra batch-level record so
-        aggregated totals stay exact.  Then each candidate is scored
-        exactly as :func:`_score_one` would.
-        """
-        ctx, cache = self._ctx, self._region_cache
-        numeric = get_backend()
-        todo = [d for d in deferred
-                if d.pending is not None and d.error is None]
-        if todo:
-            batch = EvalStats()
-            before = _counters_before(cache, numeric)
-            t0 = time.perf_counter()
-            resolved = resolve_visits([d.pending for d in todo], cache)
-            batch.sched_time = time.perf_counter() - t0
-            _accrue_counters(batch, before, cache, numeric)
-            self.eval_stats.add(batch)
-            for d, err in zip(todo, resolved):
-                if err is not None:
-                    d.error = err
-        scored: List[Tuple[Optional[ScheduleResult], float,
-                           EvalStats]] = []
-        for d in deferred:
-            stats, span = d.stats, d.span
-            before = _counters_before(cache, numeric)
-            t0 = time.perf_counter()
-            result, score = d.result, float("inf")
-            if d.error is None and result is not None:
-                try:
-                    score = ctx.objective.evaluate(result)
-                    score += TIEBREAK * _datapath_cost(
-                        d.behavior, ctx.library, ctx.allocation)
-                except ReproError as err:
-                    d.error = err
-            if d.error is not None:
-                result, score = None, float("inf")
-                span.set(unschedulable=type(d.error).__name__)
-            stats.sched_time += time.perf_counter() - t0
-            _accrue_counters(stats, before, cache, numeric)
-            # The evaluate span closed after scheduling, but its attrs
-            # stay writable until the tracer exports (see obs.trace).
-            _set_result_attrs(span, score, stats)
-            scored.append((result, score, stats))
         return scored
 
     def _ensure_pool(self) -> Optional[Executor]:
@@ -1031,9 +553,6 @@ class EvaluationEngine:
         whose workers already died) is swallowed, leaving the engine in
         the serial-fallback state.
         """
-        for fut in self._carried.values():
-            fut.cancel()  # best effort; running futures just finish
-        self._carried.clear()
         # The markov.solve hook is deliberately NOT reset here: nested
         # engines (a warm-start search inside an exploration run) share
         # one tracer, and the outer engine must keep receiving spans

@@ -18,13 +18,12 @@ the Vdd-scaling baseline (Example 1's iso-throughput rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from ..cdfg.regions import Behavior
 from ..errors import SearchError
 from ..hw import Allocation, Library, dac98_library
-from ..numeric import set_backend
 from ..obs.trace import NULL_TRACER, AnyTracer
 from ..power.model import PowerEstimate, estimate_power
 from ..power.vdd import scaled_vdd_for_schedule
@@ -137,18 +136,10 @@ class Fact:
                  config: Optional[FactConfig] = None,
                  region_caches: Optional[
                      Dict[str, RegionScheduleCache]] = None,
-                 trace: Optional[AnyTracer] = None,
-                 numeric_backend: Optional[str] = None) -> None:
+                 trace: Optional[AnyTracer] = None) -> None:
         self.library = library or dac98_library()
         self.transforms = transforms or default_library()
         self.config = config or FactConfig()
-        if numeric_backend is not None:
-            # Convenience override: ``Fact(numeric_backend="batched")``
-            # without building a full config tree.
-            self.config = replace(
-                self.config,
-                search=replace(self.config.search,
-                               numeric_backend=numeric_backend))
         #: tracer threaded through every run of this instance (see
         #: docs/observability.md); None/NULL_TRACER disables tracing.
         self.tracer: AnyTracer = trace if trace is not None \
@@ -195,9 +186,6 @@ class Fact:
                 profiling).
         """
         tracer = self.tracer
-        # Install the configured numeric backend in this process; the
-        # evaluation engine re-installs it in every pool worker.
-        set_backend(self.config.search.numeric_backend)
         with tracer.span("optimize", behavior=behavior.name,
                          objective=objective) as span:
             prof: Optional[Profile] = None

@@ -4,9 +4,8 @@
 :class:`~repro.search.strategy.SearchStrategy` (``docs/search.md``)
 over one behavior.  The harness owns everything strategies share — the
 :class:`~repro.core.engine.EvaluationEngine` with its memoization
-cache, region-schedule cache, streaming pipeline, evaluation budget
-and telemetry — while the strategy decides what to evaluate and what
-to keep:
+cache, region-schedule cache, evaluation budget and telemetry — while
+the strategy decides what to evaluate and what to keep:
 
 * ``greedy`` (the default) is the paper's Figure-6 loop, a
   population-based hybrid of iterative improvement and simulated
@@ -33,7 +32,6 @@ for byte (:mod:`repro.search.reference` is the frozen oracle).
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -133,18 +131,11 @@ class SearchConfig:
     identical results either way — ``--no-incremental-enum`` is the
     benchmark baseline); ``enum_cache_size`` bounds its per-behavior
     enumeration memo.
-    ``numeric_backend`` selects the linear-algebra core for candidate
-    evaluation: ``"scalar"`` (one solve per chain, the classic path) or
-    ``"batched"`` (same-size chains stacked into blocked LAPACK calls,
-    vectorized power accumulation) — bit-identical results either way
-    (``--numeric-backend`` on the CLI; see docs/performance.md).
-    ``streaming`` evaluates each generation through the engine's
-    streaming pipeline (:meth:`~repro.core.engine.EvaluationEngine.
-    evaluate_stream`) instead of the generation barrier — results are
-    byte-identical (``--streaming`` on the CLI; see docs/pipeline.md).
 
     ``strategy`` selects the search strategy (``"greedy"``, ``"macro"``
-    or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md).
+    or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md);
+    any other name raises :class:`~repro.errors.SearchError` here, at
+    construction, rather than once a run has started.
     ``macro_depth`` / ``macro_limit`` bound macro-move chains (longest
     dependent chain, chains per seed per generation);
     ``portfolio_size`` is the number of racing portfolio members; and
@@ -166,13 +157,20 @@ class SearchConfig:
     region_cache_size: int = 4096
     incremental_enumeration: bool = True
     enum_cache_size: int = 512
-    numeric_backend: str = "scalar"
-    streaming: bool = False
     strategy: str = "greedy"
     macro_depth: int = 2
     macro_limit: int = 8
     portfolio_size: int = 3
     max_evaluations: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Runtime import: repro.search sits above repro.core in the
+        # layer diagram (strategies import the engine's types).
+        from ..search import STRATEGIES
+        if self.strategy not in STRATEGIES:
+            raise SearchError(
+                f"unknown search strategy {self.strategy!r} "
+                f"(expected one of {', '.join(STRATEGIES)})")
 
 
 @dataclass
@@ -252,7 +250,6 @@ class TransformSearch:
             incremental=self.config.incremental_enumeration,
             cache_size=self.config.enum_cache_size,
             tracer=self.tracer)
-        self._rng = random.Random(self.config.seed)
         self._shared_engine: Optional[EvaluationEngine] = None
         self._fresh_from: Optional[int] = None
 
@@ -267,7 +264,6 @@ class TransformSearch:
             incremental=self.config.incremental,
             region_cache_size=self.config.region_cache_size,
             region_cache=self.region_cache,
-            numeric_backend=self.config.numeric_backend,
             tracer=self.tracer)
 
     def evaluate(self, behavior: Behavior,
@@ -285,9 +281,6 @@ class TransformSearch:
         # layer diagram (strategies import the engine's types).
         from ..search import make_strategy
         cfg = self.config
-        # Fresh RNG per run: repeated runs on one TransformSearch (and
-        # concurrent searches sharing a seed) see the same sequence.
-        self._rng = random.Random(cfg.seed)
         engine = self.engine if self.engine is not None \
             else self._make_engine()
         owns_engine = engine is not self.engine
@@ -321,11 +314,7 @@ class TransformSearch:
                     hits_before = engine.stats.hits
                     stats_before = engine.eval_stats.minus(EvalStats())
                     gen_start = time.perf_counter()
-                    if cfg.streaming:
-                        generation = self._evaluate_streaming(
-                            engine, pairs)
-                    else:
-                        generation = engine.evaluate_batch(pairs)
+                    generation = engine.evaluate_batch(pairs)
                     gen_time = time.perf_counter() - gen_start
                     gen_stats = engine.eval_stats.minus(stats_before)
                     generation.sort(key=lambda e: e.score)
@@ -360,8 +349,6 @@ class TransformSearch:
             telemetry.rewrite = self.driver.stats.minus(
                 run_start_rewrite)
             telemetry.backend = engine.backend
-            if cfg.streaming:
-                telemetry.stream = engine.stream_stats
             member_stats = getattr(strategy, "member_stats", None)
             if member_stats is not None:
                 telemetry.members = member_stats()
@@ -375,27 +362,6 @@ class TransformSearch:
                             strategy=strategy.name)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _evaluate_streaming(engine: EvaluationEngine,
-                            pairs: List[Tuple[Behavior,
-                                              Tuple[str, ...]]]
-                            ) -> List[Evaluated]:
-        """One generation through the streaming pipeline.
-
-        Ranking and selection need the whole generation (they are
-        cross-candidate), so the stream's completion-order results are
-        reassembled by input index — per-candidate outputs are
-        byte-identical to the barrier path, which makes the resulting
-        trajectory identical too.  The win is upstream: the engine
-        overlaps evaluations inside its in-flight window instead of
-        idling behind chunked-map stragglers.
-        """
-        outputs: List[Optional[Evaluated]] = [None] * len(pairs)
-        for i, ev in engine.evaluate_stream(pairs):
-            outputs[i] = ev
-        assert all(e is not None for e in outputs)
-        return outputs  # type: ignore[return-value]
-
     def _expander_factory(self, tracer: AnyTracer):
         """Expansion hook handed to strategies (docs/search.md).
 
@@ -427,43 +393,3 @@ class TransformSearch:
                 return pairs
             return expander
         return factory
-
-    def _expand(self, in_set: Sequence[Evaluated],
-                tracer: AnyTracer = NULL_TRACER
-                ) -> List[Tuple[Behavior, Tuple[str, ...]]]:
-        """Apply candidate transformations to every seed behavior.
-
-        Returns the next ``Behavior_set`` as (behavior, lineage) pairs,
-        in deterministic enumeration order, ready for batch evaluation.
-        """
-        return expand_candidates(
-            self.transforms,
-            [(seed.behavior, seed.lineage) for seed in in_set],
-            self._rng,
-            max_per_seed=self.config.max_candidates_per_seed,
-            hot_nodes=self.hot_nodes,
-            fresh_from=self._fresh_from
-            if self._fresh_from is not None else 0,
-            driver=self.driver,
-            tracer=tracer)
-
-    def _select(self, ranked: List[Evaluated], k: float
-                ) -> List[Evaluated]:
-        """Draw the next In_set with probability ∝ e^(−k·rank)."""
-        size = min(self.config.in_set_size, len(ranked))
-        pool = list(range(len(ranked)))
-        chosen: List[Evaluated] = []
-        for _ in range(size):
-            weights = [math.exp(-k * rank) for rank in pool]
-            total = sum(weights)
-            r = self._rng.random() * total
-            acc = 0.0
-            pick = pool[-1]
-            for rank, w in zip(pool, weights):
-                acc += w
-                if r < acc:
-                    pick = rank
-                    break
-            pool.remove(pick)
-            chosen.append(ranked[pick])
-        return chosen

@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..rewrite.driver import RewriteStats
-from ..stream import StreamStats
 from .evalcache import CacheStats
 
 
@@ -61,13 +60,10 @@ class EvalStats:
         sched_time / solver_time: seconds spent scheduling (total) and
             inside Markov solves (a subset, when solves happen during
             scheduling).
-        numeric_flushes / numeric_batched: batched-backend flushes and
-            the systems they carried (both 0 under the scalar backend).
-        numeric_seconds: seconds inside the solves themselves (matrix
-            assembly from transitions, LAPACK, validity checks) —
-            accrued by both backends at the same boundary, so scalar
-            vs. batched ratios compare the numeric core, not the
-            Python STG walk around it.
+        numeric_seconds: seconds inside the absorbing-chain solves
+            themselves (matrix assembly from transitions, LAPACK,
+            validity checks; see :func:`repro.stg.markov.solve_seconds`)
+            — the numeric core, not the Python STG walk around it.
     """
 
     scheduled: int = 0
@@ -81,8 +77,6 @@ class EvalStats:
     markov_full: int = 0
     sched_time: float = 0.0
     solver_time: float = 0.0
-    numeric_flushes: int = 0
-    numeric_batched: int = 0
     numeric_seconds: float = 0.0
 
     @property
@@ -155,8 +149,6 @@ class SearchTelemetry:
     cache: CacheStats = field(default_factory=CacheStats)
     eval: EvalStats = field(default_factory=EvalStats)
     rewrite: RewriteStats = field(default_factory=RewriteStats)
-    #: streaming-pipeline counters; None for barrier runs
-    stream: Optional[StreamStats] = None
     #: search strategy that drove this run (docs/search.md)
     strategy: str = "greedy"
     #: per-member scoreboard of a portfolio run (label -> counters);
@@ -211,8 +203,6 @@ class SearchTelemetry:
         reg.inc("search.wall_seconds", self.total_wall_time)
         reg.absorb_cache_stats("engine.cache", self.cache)
         reg.absorb_eval_stats(self.eval)
-        if self.stream is not None:
-            reg.absorb_stream_stats(self.stream)
         for name, value in self.rewrite.as_dict().items():
             reg.inc(f"rewrite.{name}", value)
         for g in self.generations:
@@ -236,8 +226,6 @@ class SearchTelemetry:
             "cache": self.cache.as_dict(),
             "eval": self.eval.as_dict(),
             "rewrite": self.rewrite.as_dict(),
-            "stream": self.stream.as_dict()
-            if self.stream is not None else None,
             "members": self.members,
             "best_trajectory": self.best_trajectory,
             "metrics": self.metrics().as_dict(),
@@ -269,8 +257,6 @@ class SearchTelemetry:
             f"{self.rewrite.rescanned_matches} rescanned), "
             f"{self.rewrite.enum_seconds * 1000:.1f} ms",
         ]
-        if self.stream is not None:
-            lines.append("  " + self.stream.summary())
         if self.strategy != "greedy":
             # Extra lines only for non-default strategies: the greedy
             # report stays byte-identical to the pre-strategy output.
@@ -343,10 +329,6 @@ class ExploreTelemetry:
     cache: CacheStats = field(default_factory=CacheStats)
     eval: EvalStats = field(default_factory=EvalStats)
     rewrite: RewriteStats = field(default_factory=RewriteStats)
-    #: streaming-pipeline counters; None for barrier runs.  Attached at
-    #: run end (not per generation), so it is never pickled into
-    #: checkpoints — only ``generations`` is carried across resumes.
-    stream: Optional[StreamStats] = None
 
     # -- recording ------------------------------------------------------
     def start(self) -> None:
@@ -391,8 +373,6 @@ class ExploreTelemetry:
         reg.absorb_cache_stats("store", self.store)
         reg.absorb_cache_stats("engine.cache", self.cache)
         reg.absorb_eval_stats(self.eval)
-        if self.stream is not None:
-            reg.absorb_stream_stats(self.stream)
         for name, value in self.rewrite.as_dict().items():
             reg.inc(f"rewrite.{name}", value)
         for g in self.generations:
@@ -414,8 +394,6 @@ class ExploreTelemetry:
             "cache": self.cache.as_dict(),
             "eval": self.eval.as_dict(),
             "rewrite": self.rewrite.as_dict(),
-            "stream": self.stream.as_dict()
-            if self.stream is not None else None,
             "front_trajectory": self.front_trajectory,
             "metrics": self.metrics().as_dict(),
         }
@@ -440,8 +418,6 @@ class ExploreTelemetry:
             f"{self.rewrite.full_scans} full scans), "
             f"{self.rewrite.enum_seconds * 1000:.1f} ms",
         ]
-        if self.stream is not None:
-            lines.append("  " + self.stream.summary())
         reg = self.metrics()
         lines.append(
             "  totals (aggregated across workers): region cache "

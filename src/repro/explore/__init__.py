@@ -19,15 +19,14 @@ The friendly entry points are ``repro.api.explore`` and the
 from .pareto import (DesignMetrics, DesignPoint, ParetoFront,
                      crowding_distance, dominates, non_dominated_sort,
                      nsga2_select, objectives_from_metrics)
-from .runner import (CHECKPOINT_SCHEMA, ExploreConfig, ExploreResult,
-                     ExploreRunner)
+from .runner import CHECKPOINT_SCHEMA, ExploreConfig, ExploreRunner
 from .store import (STORE_SCHEMA, RunStore, RunStoreWarning, StoredEval,
                     atomic_write_bytes, atomic_write_text,
                     default_store_root)
 
 __all__ = [
     "CHECKPOINT_SCHEMA", "DesignMetrics", "DesignPoint",
-    "ExploreConfig", "ExploreResult", "ExploreRunner", "ParetoFront",
+    "ExploreConfig", "ExploreRunner", "ParetoFront",
     "RunStore", "RunStoreWarning", "STORE_SCHEMA", "StoredEval",
     "atomic_write_bytes", "atomic_write_text", "crowding_distance",
     "default_store_root", "dominates", "non_dominated_sort",

@@ -57,7 +57,7 @@ from ..transforms import TransformLibrary, default_library
 from ..core.engine import (Evaluated, EvaluationEngine,
                            context_fingerprint)
 from ..sched.regioncache import RegionScheduleCache
-from ..core.evalcache import CacheStats, behavior_fingerprint
+from ..core.evalcache import behavior_fingerprint
 from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT, Objective
 from ..core.search import SearchConfig, expand_candidates
@@ -103,10 +103,6 @@ class ExploreConfig:
     cycle_time: float = 1.0
     incremental: bool = True
     incremental_enumeration: bool = True
-    numeric_backend: str = "scalar"
-    #: stream each generation through the engine's pipeline (results
-    #: byte-identical to the barrier path; see docs/pipeline.md)
-    streaming: bool = False
     #: seed the initial population from the nearest prior run's front
     #: in the store's transfer index (``--warm-start`` on the CLI;
     #: docs/search.md).  Fronts are *recorded* unconditionally at every
@@ -123,61 +119,26 @@ class ExploreConfig:
             seed=self.seed, workers=self.workers,
             cache_size=self.cache_size,
             incremental=self.incremental,
-            incremental_enumeration=self.incremental_enumeration,
-            numeric_backend=self.numeric_backend,
-            streaming=self.streaming)
+            incremental_enumeration=self.incremental_enumeration)
 
     def identity(self) -> Tuple:
         """Everything that shapes the search trajectory (for the run
         fingerprint; ``generations`` is deliberately excluded so a
         finished run can be extended by resuming with a higher cap).
-        ``incremental`` / ``incremental_enumeration`` / ``streaming`` /
-        the numeric backend and the cache sizes are normalized out: all
-        evaluation and enumeration modes produce identical trajectories
-        by construction, so a run checkpointed in one mode can resume in
-        the other."""
+        ``incremental`` / ``incremental_enumeration`` and the cache
+        sizes are normalized out: all evaluation and enumeration modes
+        produce identical trajectories by construction, so a run
+        checkpointed in one mode can resume in the other."""
         return (self.population_size, self.max_candidates_per_seed,
                 self.seed, self.warm_start,
                 astuple(replace(self.warm_start_search(),
                                 incremental=True,
                                 region_cache_size=4096,
                                 incremental_enumeration=True,
-                                enum_cache_size=512,
-                                numeric_backend="scalar",
-                                streaming=False)),
+                                enum_cache_size=512)),
                 self.vdd, self.vt, self.cycle_time,
                 tuple(self.warm_start_objectives),
                 self.warm_start_transfer, self.transfer_seeds)
-
-
-class ExploreResult(JobResult):
-    """Deprecated alias of :class:`repro.service.jobs.JobResult`.
-
-    Exploration runs now report through the service layer's one public
-    result shape.  This subclass keeps the pre-service constructor
-    signature (``interrupted`` flag, ``checkpoint_path``) working, with
-    a :class:`DeprecationWarning`; isinstance checks against
-    ``ExploreResult`` keep passing for results built through it, and
-    results returned by :meth:`ExploreRunner.run` are plain
-    :class:`JobResult` objects.
-    """
-
-    def __init__(self, front: ParetoFront, generations: int = 0,
-                 interrupted: bool = False,
-                 telemetry: Optional[ExploreTelemetry] = None,
-                 store_stats: Optional[CacheStats] = None,
-                 checkpoint_path: Union[str, "os.PathLike[str]"] = "",
-                 **kwargs) -> None:
-        warnings.warn(
-            "ExploreResult is deprecated; exploration returns "
-            "repro.JobResult (state instead of interrupted, "
-            "checkpoint instead of checkpoint_path)",
-            DeprecationWarning, stacklevel=2)
-        state = (JobState.CANCELLED if interrupted else JobState.DONE)
-        super().__init__(front=front, state=state,
-                         generations=generations, telemetry=telemetry,
-                         store_stats=store_stats,
-                         checkpoint=str(checkpoint_path), **kwargs)
 
 
 class ExploreRunner:
@@ -192,16 +153,7 @@ class ExploreRunner:
                               None] = None,
                  checkpoint: Union[str, "os.PathLike[str]",
                                    None] = None,
-                 checkpoint_path: Union[str, "os.PathLike[str]",
-                                        None] = None,
                  trace: Optional[AnyTracer] = None) -> None:
-        if checkpoint_path is not None:
-            warnings.warn(
-                "ExploreRunner(checkpoint_path=...) is deprecated; "
-                "pass checkpoint=... instead",
-                DeprecationWarning, stacklevel=2)
-            if checkpoint is None:
-                checkpoint = checkpoint_path
         self.behavior = behavior
         self.allocation = allocation
         self.library = library or dac98_library()
@@ -248,15 +200,6 @@ class ExploreRunner:
         self._transfer_pool: Dict[
             str, Tuple[Behavior, Tuple[str, ...]]] = {}
 
-    @property
-    def checkpoint_path(self) -> Path:
-        """Deprecated: use :attr:`checkpoint`."""
-        warnings.warn(
-            "ExploreRunner.checkpoint_path is deprecated; use "
-            "runner.checkpoint instead", DeprecationWarning,
-            stacklevel=2)
-        return self.checkpoint
-
     # ------------------------------------------------------------------
     def _region_cache(self) -> RegionScheduleCache:
         """The shared region-schedule cache of this runner's context."""
@@ -290,7 +233,6 @@ class ExploreRunner:
             sched_config=cfg.sched, branch_probs=self.branch_probs,
             workers=cfg.workers, cache_size=cfg.cache_size,
             incremental=cfg.incremental, region_cache=region_cache,
-            numeric_backend=cfg.numeric_backend,
             tracer=self.tracer)
         telemetry = ExploreTelemetry(backend=engine.backend,
                                      workers=max(engine.workers, 1),
@@ -344,19 +286,8 @@ class ExploreRunner:
                             max_per_seed=cfg.max_candidates_per_seed,
                             driver=self.driver,
                             tracer=self.tracer)
-                        if cfg.streaming:
-                            points, scheduled = \
-                                self._evaluate_pairs_streaming(
-                                    pairs, engine, baseline_length,
-                                    front, population, rng,
-                                    speculate=(generation + 1
-                                               < cfg.generations))
-                        else:
-                            points, scheduled = self._evaluate_pairs(
-                                pairs, engine, baseline_length)
-                        # Streaming already admitted every point via
-                        # front.add in pair order; re-offering them is
-                        # idempotent, so one update call serves both.
+                        points, scheduled = self._evaluate_pairs(
+                            pairs, engine, baseline_length)
                         front.update(points)
                         population = self._next_population(population,
                                                            points)
@@ -401,8 +332,6 @@ class ExploreRunner:
             telemetry.eval = engine.eval_stats
             telemetry.rewrite = self.driver.stats.minus(
                 run_start_rewrite)
-            if cfg.streaming:
-                telemetry.stream = engine.stream_stats
             telemetry.finish()
         if front is None:
             raise ExploreError(
@@ -590,214 +519,6 @@ class ExploreRunner:
             points.append(self._point(key, behavior, lineage, record,
                                       baseline_length))
         return points, scheduled
-
-    def _evaluate_pairs_streaming(self,
-                                  pairs: Sequence[Tuple[Behavior,
-                                                        Tuple[str, ...]]],
-                                  engine: EvaluationEngine,
-                                  baseline_length: float,
-                                  front: ParetoFront,
-                                  population: Sequence[DesignPoint],
-                                  rng: random.Random, *,
-                                  speculate: bool
-                                  ) -> Tuple[List[DesignPoint], int]:
-        """Streamed twin of :meth:`_evaluate_pairs`.
-
-        Store lookups resolve hits upfront exactly as the barrier path
-        does; the misses then flow through
-        :meth:`~repro.core.engine.EvaluationEngine.evaluate_stream`.
-        As each result lands it is measured and persisted immediately
-        (that work overlaps in-flight evaluations), while **front
-        admission** goes through an in-order commit: a pair is admitted
-        only once every earlier pair is resolved, so ``front.add`` sees
-        points in exactly the barrier path's order and the final front
-        is byte-identical.
-
-        When the pool has idle tail slots and ``speculate`` is set, the
-        input generator appends predicted next-generation candidates
-        (see :meth:`_speculative_input`); their results only warm the
-        engine cache and the run store — they are never admitted here.
-        Speculative evaluations still running once every real result
-        has landed do not delay the generation: they are detached,
-        carried on the engine across the boundary, and adopted by the
-        next generation's stream.
-        """
-        from ..stream import (AdmissionPolicy, InOrderCommitter,
-                              available_cpus)
-        policy = AdmissionPolicy()
-        stats = engine.stream_stats
-        keyed = [(behavior, lineage,
-                  RunStore.key_for(self._context_fp, behavior))
-                 for behavior, lineage in pairs]
-        resolved: Dict[str, StoredEval] = {}
-        pending_keys: set = set()
-        misses: List[Tuple[Behavior, str]] = []
-        for behavior, _lineage, key in keyed:
-            if key in resolved or key in pending_keys:
-                # Duplicate within the generation: counts as a hit.
-                self.store.stats.hits += 1
-                continue
-            record = self.store.get(key)
-            if record is not None:
-                resolved[key] = record
-            else:
-                pending_keys.add(key)
-                misses.append((behavior, key))
-        scheduled = len(misses)
-        n_real = len(misses)
-
-        points: List[DesignPoint] = []
-        next_pair = 0
-
-        def commit_ready() -> None:
-            # Admit the contiguous prefix of resolved pairs, in pair
-            # order — the same order the barrier path offers them.
-            nonlocal next_pair
-            while next_pair < len(keyed):
-                behavior, lineage, key = keyed[next_pair]
-                record = resolved.get(key)
-                if record is None:
-                    break
-                next_pair += 1
-                if not record.feasible:
-                    continue
-                point = self._point(key, behavior, lineage, record,
-                                    baseline_length)
-                points.append(point)
-                front.add(point)
-
-        commit_ready()
-        if not misses:
-            assert next_pair == len(keyed)
-            return points, scheduled
-
-        committer = InOrderCommitter()
-        spec_keys: List[str] = []
-        # Detached (carried-over) speculation needs the engine cache to
-        # hand results across stream boundaries, and only pays when
-        # there is idle parallel capacity to fill: on a single-CPU
-        # host every speculative cycle is stolen from the pipeline
-        # itself, so the admission policy turns it off.
-        do_speculate = (speculate and policy.speculate
-                        and engine.workers >= 2
-                        and engine.cache.max_entries > 0
-                        and available_cpus() >= 2)
-
-        def feed():
-            for behavior, _key in misses:
-                yield (behavior, ())
-            if do_speculate:
-                yield from self._speculative_input(
-                    population, points, rng, resolved, pending_keys,
-                    spec_keys, committer, n_real, policy, stats,
-                    engine)
-
-        for mi, ev in engine.evaluate_stream(feed(), policy=policy,
-                                             stats=stats):
-            metrics = self._measure(ev)
-            if mi >= n_real:
-                # Speculative result: warm the store, nothing else.
-                self.store.put(spec_keys[mi - n_real], metrics)
-                continue
-            _behavior, key = misses[mi]
-            self.store.put(key, metrics)
-            for _idx, (k, record) in committer.offer(
-                    mi, (key, StoredEval(metrics))):
-                pending_keys.discard(k)
-                resolved[k] = record
-            commit_ready()
-        if committer.max_depth > stats.max_reorder_depth:
-            stats.max_reorder_depth = committer.max_depth
-        assert next_pair == len(keyed)
-        return points, scheduled
-
-    def _speculative_input(self, population: Sequence[DesignPoint],
-                           points: List[DesignPoint],
-                           rng: random.Random,
-                           resolved: Dict[str, StoredEval],
-                           pending_keys: set,
-                           spec_keys: List[str],
-                           committer, n_real: int, policy, stats,
-                           engine: EvaluationEngine):
-        """Predicted next-generation candidates for idle tail slots.
-
-        ``nsga2_select`` is RNG-free and the exploration RNG is consumed
-        only inside ``expand_candidates``, so once the current
-        generation's expansion has drawn from it, a *clone* of the RNG
-        reproduces exactly the sample the next expansion will draw.
-
-        Timing is everything here, and the stream's ``None`` protocol
-        provides it: the feeder yields ``None`` ("no work yet") until
-        *every* real result of this generation has committed.  At that
-        moment the prediction is exact — the selection input is the
-        complete point set the real ``_next_population`` will see, and
-        the cloned RNG replays the exact expansion draw — so the
-        candidates yielded are precisely the next generation's cache
-        misses, in its pair order.  Speculating any earlier trades
-        that certainty for wasted evaluations; measured on the bench
-        campaigns, the trade never pays.
-
-        The candidates are yielded as *detachable* items: the stream
-        fills its window with them but never waits for them — the
-        generation ends the instant its own results are in, and the
-        still-running futures are carried on the engine for the next
-        generation's stream to adopt mid-flight.  The effect is a
-        software pipeline across the generation boundary: workers chew
-        generation ``g+1``'s schedules while the main process runs
-        generation ``g``'s selection, expansion, store lookups and
-        checkpoint write.
-
-        Backpressure still applies: if real results sit in the reorder
-        buffer (an adopted straggler landed out of order), candidates
-        are shed rather than submitted — the stream must retire real
-        work first.
-        """
-        while committer.next_index < n_real:
-            yield None
-        try:
-            predicted = self._predict_next_generation(population,
-                                                      points, rng)
-        except ReproError:
-            return
-        limit = policy.effective_speculation(engine.workers)
-        shed_at = policy.effective_shed_backlog(engine.workers)
-        seen: set = set()
-        for behavior, _lineage in predicted:
-            if len(spec_keys) >= limit:
-                break
-            key = RunStore.key_for(self._context_fp, behavior)
-            if (key in resolved or key in pending_keys or key in seen):
-                continue
-            seen.add(key)
-            if self.store.get(key) is not None:
-                continue
-            if committer.depth > shed_at:
-                stats.shed += 1
-                continue
-            stats.speculated += 1
-            spec_keys.append(key)
-            yield (behavior, (), True)
-
-    def _predict_next_generation(self,
-                                 population: Sequence[DesignPoint],
-                                 points: Sequence[DesignPoint],
-                                 rng: random.Random
-                                 ) -> List[Tuple[Behavior,
-                                                 Tuple[str, ...]]]:
-        """Expansion of the predicted next population, via a cloned RNG
-        (the real RNG must stay untouched — it drives the actual next
-        expansion)."""
-        predicted = self._next_population(population, list(points))
-        seeds = [(p.behavior, p.lineage) for p in predicted
-                 if p.behavior is not None]
-        if not seeds:
-            return []
-        clone = random.Random()
-        clone.setstate(rng.getstate())
-        return expand_candidates(
-            self.transforms, seeds, clone,
-            max_per_seed=self.config.max_candidates_per_seed,
-            driver=self.driver, tracer=NULL_TRACER)
 
     def _measure(self, evaluated: Evaluated
                  ) -> Optional[DesignMetrics]:

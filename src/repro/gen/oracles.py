@@ -30,15 +30,6 @@ sched-incremental  region-cache (splice) scheduling is bit-identical to
                    average may drift by float associativity only)
 engine-backend     serial vs. process-pool evaluation engines score the
                    behavior identically
-numeric-backend    scalar vs. batched numeric cores produce bit-
-                   identical schedules, average lengths and power
-                   estimates (same STG, same floats, same error class
-                   on infeasible circuits)
-stream-parity      the streaming evaluation pipeline
-                   (``EvaluationEngine.evaluate_stream``) scores a
-                   mixed batch — parent, rewritten children, in-batch
-                   duplicates — identically to the barrier
-                   ``evaluate_batch`` path, result for result
 search-parity      the strategy layer's default ``greedy`` strategy
                    reproduces the frozen legacy search loop
                    (``repro.search.reference``) — best score, lineage,
@@ -58,8 +49,7 @@ from ..cdfg.interp import execute
 from ..cdfg.regions import Behavior
 from ..cdfg.validate import validate_behavior
 from ..core import THROUGHPUT, Objective
-from ..core.engine import (Evaluated, EvaluationEngine,
-                           context_fingerprint)
+from ..core.engine import EvaluationEngine, context_fingerprint
 from ..errors import ReproError, ScheduleError
 from ..hw import Allocation, Library, dac98_library
 from ..profiling import uniform_traces
@@ -382,124 +372,6 @@ def oracle_engine_backend(ctx: OracleContext) -> Optional[str]:
     return None
 
 
-def oracle_numeric_backend(ctx: OracleContext) -> Optional[str]:
-    """Scalar and batched numeric backends are bit-identical.
-
-    Schedules the circuit through the region-cache (splice) path — the
-    path that batches fragment solves and loop-variant measurements —
-    under each backend and demands the same STG signature, the same
-    average length to the last bit, and the same power estimate.  A
-    circuit that fails to schedule must fail under both backends with
-    the same error class (messages may differ when several sub-chains
-    fail, because the batched path surfaces the first failure in flush
-    order rather than build order).
-    """
-    from ..numeric import batching_available, use_backend
-    from ..power.model import estimate_power
-    if not batching_available():
-        return None  # nothing to compare against
-    if ctx.try_schedule() is None:
-        return None  # path explosion: agreed capacity limit, skip
-    probs = ctx.branch_probs()
-    fp = context_fingerprint(ctx.hw_library, ctx.allocation,
-                             ctx.sched_config, probs)
-
-    def run(backend: str):
-        with use_backend(backend):
-            cache = RegionScheduleCache(max_entries=4096, context_fp=fp)
-            try:
-                sched = Scheduler(
-                    ctx.behavior, ctx.hw_library, ctx.allocation,
-                    ctx.sched_config, probs,
-                    region_cache=cache).schedule()
-            except ReproError as exc:
-                return type(exc).__name__, None, None, None
-            est = estimate_power(sched.stg, ctx.behavior.graph,
-                                 ctx.hw_library,
-                                 visits=sched.expected_visits())
-            return None, _stg_signature(sched), \
-                sched.average_length(), est
-
-    s_err, s_sig, s_len, s_est = run("scalar")
-    b_err, b_sig, b_len, b_est = run("batched")
-    if s_err is not None or b_err is not None:
-        if s_err != b_err:
-            return (f"scalar schedule error {s_err} vs. batched "
-                    f"{b_err}")
-        return None
-    if s_sig != b_sig:
-        return "scalar and batched backends built different STGs"
-    if s_len != b_len:
-        return (f"scalar average length {s_len!r} != batched "
-                f"{b_len!r}")
-    assert s_est is not None and b_est is not None
-    for attr in ("fu_energy", "fu_ops", "memory_energy",
-                 "register_energy", "overhead_energy"):
-        if getattr(s_est, attr) != getattr(b_est, attr):
-            return (f"power estimate field {attr} diverges: "
-                    f"{getattr(s_est, attr)!r} != "
-                    f"{getattr(b_est, attr)!r}")
-    return None
-
-
-def oracle_stream_parity(ctx: OracleContext) -> Optional[str]:
-    """Streaming evaluation scores a batch exactly like the barrier.
-
-    Builds a mixed generation — the parent, up to :data:`MAX_APPLIES`
-    rewritten children, and an in-batch duplicate of the parent — and
-    scores it through both ``evaluate_batch`` (the barrier path) and a
-    reassembled ``evaluate_stream`` on fresh engines.  Demands the same
-    score and the same STG signature at every index: the streaming
-    pipeline's deferred flushes, in-flight dedup and reordering must be
-    invisible in the per-candidate outputs.
-    """
-    if ctx.try_schedule() is None:
-        return None  # path explosion: agreed capacity limit, skip
-    probs = ctx.branch_probs()
-    driver = RewriteDriver(default_library())
-    pairs: List[Tuple[Behavior, Tuple[str, ...]]] = [(ctx.behavior, ())]
-    applied = 0
-    for cand in driver.candidates(ctx.behavior):
-        if applied >= MAX_APPLIES:
-            break
-        try:
-            child = driver.apply(ctx.behavior, cand)
-        except ReproError:
-            continue
-        applied += 1
-        pairs.append((child, (cand.description,)))
-    pairs.append((ctx.behavior, ()))  # in-batch duplicate
-    objective = Objective(THROUGHPUT)
-
-    def run(streaming: bool) -> List[Tuple]:
-        engine = EvaluationEngine(
-            ctx.hw_library, ctx.allocation, objective,
-            ctx.sched_config, probs, workers=0)
-        try:
-            if streaming:
-                out: List[Optional[Evaluated]] = [None] * len(pairs)
-                for i, ev in engine.evaluate_stream(iter(pairs)):
-                    out[i] = ev
-            else:
-                out = list(engine.evaluate_batch(pairs))
-        finally:
-            engine.close()
-        return [(ev.score,
-                 _stg_signature(ev.result) if ev.result is not None
-                 else None)
-                for ev in out]  # type: ignore[union-attr]
-
-    barrier = run(False)
-    stream = run(True)
-    for i, (want, got) in enumerate(zip(barrier, stream)):
-        if want != got:
-            return (f"candidate {i}/{len(pairs)}: barrier score "
-                    f"{want[0]!r} / stream score {got[0]!r}"
-                    + ("" if want[0] != got[0]
-                       else " agree but the STGs differ"))
-    return None
-
-
 def oracle_search_parity(ctx: OracleContext) -> Optional[str]:
     """The strategy layer reproduces the legacy search, and richer
     strategies stay semantics-preserving.
@@ -596,8 +468,6 @@ ORACLES: Dict[str, Callable[[OracleContext], Optional[str]]] = {
     "rewrite-semantics": oracle_rewrite_semantics,
     "sched-incremental": oracle_sched_incremental,
     "engine-backend": oracle_engine_backend,
-    "numeric-backend": oracle_numeric_backend,
-    "stream-parity": oracle_stream_parity,
     "search-parity": oracle_search_parity,
 }
 

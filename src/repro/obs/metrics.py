@@ -179,32 +179,7 @@ class MetricsRegistry:
         self.inc("markov.reused", stats.markov_reused)
         self.inc("markov.full", stats.markov_full)
         self.inc("markov.solver_seconds", stats.solver_time)
-        self.inc("numeric.flushes", stats.numeric_flushes)
-        self.inc("numeric.batched_systems", stats.numeric_batched)
         self.inc("numeric.solve_seconds", stats.numeric_seconds)
-        self.set("numeric.systems_per_flush",
-                 stats.numeric_batched / stats.numeric_flushes
-                 if stats.numeric_flushes > 0 else 0.0)
-
-    def absorb_stream_stats(self, stats: Any) -> None:
-        """Fold a :class:`~repro.stream.StreamStats` in.
-
-        Admission counters under ``stream.*`` plus the two queue-depth
-        gauges a streaming run watches for backpressure: peak in-flight
-        window occupancy and peak in-order-commit reorder depth.
-        """
-        self.inc("stream.enqueued", stats.enqueued)
-        self.inc("stream.submitted", stats.submitted)
-        self.inc("stream.completed", stats.completed)
-        self.inc("stream.cache_hits", stats.cache_hits)
-        self.inc("stream.merged", stats.merged)
-        self.inc("stream.flushes", stats.flushes)
-        self.inc("stream.speculated", stats.speculated)
-        self.inc("stream.shed", stats.shed)
-        self.inc("stream.carried", stats.carried)
-        self.inc("stream.adopted", stats.adopted)
-        self.set("stream.max_inflight", stats.max_inflight)
-        self.set("stream.max_reorder_depth", stats.max_reorder_depth)
 
     # -- merge / export --------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:

@@ -26,7 +26,6 @@ from ..cdfg.ir import Graph
 from ..cdfg.ops import OpKind
 from ..errors import PowerError
 from ..hw import Library
-from ..numeric import get_backend
 from ..stg.markov import expected_visits
 from ..stg.model import Stg
 
@@ -92,40 +91,29 @@ def estimate_power(stg: Stg, graph: Graph, library: Library, *,
         visits = expected_visits(stg)
     est = PowerEstimate(vdd=vdd, cycle_time=cycle_time)
     est.schedule_length = float(sum(visits.values()))
-    if get_backend().batched:
-        # Grouped cumsum accumulation — bit-identical to the scalar
-        # loop below (see repro.numeric.power for the ordering
-        # argument).
-        from ..numeric.power import accumulate_activity
-        fu_ops, fu_energy, mem_accesses, total_ops = \
-            accumulate_activity(stg, graph, library, visits)
-        est.fu_ops.update(fu_ops)
-        est.fu_energy.update(fu_energy)
-    else:
-        mem_accesses = 0.0
-        total_ops = 0.0
-        for sid, state in stg.states.items():
-            weight = visits.get(sid, 0.0)
-            if weight <= 0:
-                continue
-            for op in state.ops:
-                count = weight * op.exec_prob
-                node = graph.nodes.get(op.node)
-                if node is None:
-                    raise PowerError(
-                        f"state {sid} references unknown CDFG node "
-                        f"{op.node}")
-                if node.kind in (OpKind.LOAD, OpKind.STORE):
-                    mem_accesses += count
-                    total_ops += count
-                    continue
-                fu = library.fu_for(node.kind)
-                if fu is None:
-                    continue  # wiring (joins, const shifts) costs nothing
-                est.fu_ops[fu.name] = est.fu_ops.get(fu.name, 0.0) + count
-                est.fu_energy[fu.name] = (est.fu_energy.get(fu.name, 0.0)
-                                          + count * fu.energy)
+    mem_accesses = 0.0
+    total_ops = 0.0
+    for sid, state in stg.states.items():
+        weight = visits.get(sid, 0.0)
+        if weight <= 0:
+            continue
+        for op in state.ops:
+            count = weight * op.exec_prob
+            node = graph.nodes.get(op.node)
+            if node is None:
+                raise PowerError(
+                    f"state {sid} references unknown CDFG node {op.node}")
+            if node.kind in (OpKind.LOAD, OpKind.STORE):
+                mem_accesses += count
                 total_ops += count
+                continue
+            fu = library.fu_for(node.kind)
+            if fu is None:
+                continue  # wiring (joins, const shifts) costs nothing
+            est.fu_ops[fu.name] = est.fu_ops.get(fu.name, 0.0) + count
+            est.fu_energy[fu.name] = (est.fu_energy.get(fu.name, 0.0)
+                                      + count * fu.energy)
+            total_ops += count
     est.memory_energy = mem_accesses * library.memory.energy
     est.register_energy = (total_ops * reg_accesses_per_op
                            * library.register.energy)

@@ -34,13 +34,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..cdfg.analysis import GuardAnalysis
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
-from ..errors import MarkovError, ScheduleError
+from ..errors import ScheduleError
 from ..hw import Allocation, Library
-from ..numeric import get_backend
 from ..obs.trace import NULL_TRACER, AnyTracer
-from ..stg.markov import (average_schedule_length,
-                          average_schedule_lengths, expected_visits,
-                          throughput)
+from ..stg.markov import average_schedule_length, expected_visits
 from ..stg.model import Stg
 from .branching import ScheduleContext, block_fragment
 from .concurrent import concurrent_fragment, independent
@@ -91,31 +88,6 @@ class ScheduleResult:
         return len(self.stg)
 
 
-@dataclass
-class PendingVisits:
-    """A scheduled candidate whose spliced-visit assembly was deferred.
-
-    Produced by :class:`Scheduler` under ``defer_visits=True`` (the
-    evaluation engine's generation-deferred mode): scheduling completes
-    normally but the final per-fragment Markov solves are left queued so
-    *many candidates'* dirty fragments can go out in one cross-candidate
-    flush (:func:`resolve_visits`).  The flush need not cover a whole
-    generation: the streaming pipeline flushes opportunistically every
-    ``AdmissionPolicy.flush_size`` candidates, which is safe because
-    every flush composition assembles bit-identical totals.  Holds
-    everything the assembly
-    needs: the result to fill, the once-per-execution states outside any
-    fragment, the spliced pieces in splice order, and the candidate's
-    ``schedule`` span (closed, but its attributes stay writable) for the
-    ``markov_fallback`` annotation.
-    """
-
-    result: ScheduleResult
-    once: List[int]
-    pieces: List[tuple]
-    span: object = None
-
-
 class Scheduler:
     """Schedules a behavior under a library / allocation / clock.
 
@@ -140,8 +112,7 @@ class Scheduler:
                  config: Optional[SchedConfig] = None,
                  branch_probs: Optional[BranchProbs] = None,
                  region_cache: Optional[RegionScheduleCache] = None,
-                 tracer: Optional[AnyTracer] = None,
-                 defer_visits: bool = False) -> None:
+                 tracer: Optional[AnyTracer] = None) -> None:
         self.behavior = behavior
         self.library = library
         self.allocation = allocation
@@ -150,12 +121,6 @@ class Scheduler:
         self.region_cache = region_cache
         self.tracer: AnyTracer = tracer if tracer is not None \
             else NULL_TRACER
-        #: With a region cache attached, skip the final spliced-visit
-        #: assembly and expose it as :attr:`pending` instead, so the
-        #: engine can solve a whole generation's dirty fragments in one
-        #: cross-candidate flush (see :func:`resolve_visits`).
-        self.defer_visits = defer_visits
-        self.pending: Optional[PendingVisits] = None
         self._main_stg: Optional[Stg] = None
         # (CachedFragment, fragment-local -> main-STG id map) per
         # top-level spliced unit, in splice order.
@@ -207,11 +172,7 @@ class Scheduler:
         result = ScheduleResult(stg, behavior, self.library, self.allocation,
                                 self.config, self.branch_probs)
         if self.region_cache is not None:
-            if self.defer_visits:
-                self.pending = PendingVisits(result, once,
-                                             list(self._pieces), span)
-            else:
-                result.visits = self._spliced_visits(stg, once, span)
+            result.visits = self._spliced_visits(stg, once, span)
         return result
 
     # ------------------------------------------------------------------
@@ -277,39 +238,21 @@ class Scheduler:
                 lambda c: concurrent_fragment(
                     c, run, cache=self.region_cache,
                     behavior=self.behavior))
-            if get_backend().batched:
-                seq_scratch = self._measuring_build(
-                    ctx, lambda c: compose(
-                        c.stg, [self._loop(c, lp) for lp in run]))
-                conc_len, seq_len = self._measure_pair(conc, seq_scratch)
-            else:
-                conc_len = self._variant_len(conc)
-                seq_len = self._measure(
-                    ctx, lambda c: compose(
-                        c.stg, [self._loop(c, lp) for lp in run]))
+            conc_len = self._variant_len(conc)
+            seq_len = self._measure(
+                ctx, lambda c: compose(
+                    c.stg, [self._loop(c, lp) for lp in run]))
             if conc_len is not None and (seq_len is None
                                          or conc_len < seq_len):
                 frag, _ = splice(ctx.stg, conc)
                 return frag
             return compose(
                 ctx.stg, [self._loop(ctx, lp) for lp in run])
-        if get_backend().batched:
-            conc_scratch = self._measuring_build(
-                ctx, lambda c: concurrent_fragment(c, run))
-            seq_scratch = self._measuring_build(
-                ctx, lambda c: compose(
-                    c.stg, [self._loop(c, lp) for lp in run]))
-            stgs = [s for s in (conc_scratch, seq_scratch)
-                    if s is not None]
-            lengths = iter(average_schedule_lengths(stgs))
-            conc_len = next(lengths) if conc_scratch is not None else None
-            seq_len = next(lengths) if seq_scratch is not None else None
-        else:
-            conc_len = self._measure(
-                ctx, lambda c: concurrent_fragment(c, run))
-            seq_len = self._measure(
-                ctx, lambda c: compose(
-                    c.stg, [self._loop(c, lp) for lp in run]))
+        conc_len = self._measure(
+            ctx, lambda c: concurrent_fragment(c, run))
+        seq_len = self._measure(
+            ctx, lambda c: compose(
+                c.stg, [self._loop(c, lp) for lp in run]))
         if conc_len is not None and (seq_len is None
                                      or conc_len < seq_len):
             frag = concurrent_fragment(ctx, run)
@@ -319,12 +262,10 @@ class Scheduler:
             ctx.stg, [self._loop(ctx, lp) for lp in run])
 
     @staticmethod
-    def _measuring_build(ctx: ScheduleContext,
-                         build: Callable[[ScheduleContext],
-                                         Optional[Frag]]
-                         ) -> Optional[Stg]:
-        """Build a fragment into a measuring scratch STG (entry/exit
-        wrapped); None when the build fails or is not applicable."""
+    def _measure(ctx: ScheduleContext,
+                 build: Callable[[ScheduleContext], Optional[Frag]]
+                 ) -> Optional[float]:
+        """Expected cycles of a fragment built into a scratch STG."""
         scratch = Stg("scratch")
         sub = ctx.with_stg(scratch)
         try:
@@ -341,16 +282,6 @@ class Scheduler:
             connect(scratch, [(entry, 1.0, "")], frag.entries)
             connect(scratch, frag.exits, [(exit_, 1.0, "")])
         scratch.entry, scratch.exit = entry, exit_
-        return scratch
-
-    @staticmethod
-    def _measure(ctx: ScheduleContext,
-                 build: Callable[[ScheduleContext], Optional[Frag]]
-                 ) -> Optional[float]:
-        """Expected cycles of a fragment built into a scratch STG."""
-        scratch = Scheduler._measuring_build(ctx, build)
-        if scratch is None:
-            return None
         return average_schedule_length(scratch)
 
     # -- incremental path ----------------------------------------------
@@ -427,25 +358,14 @@ class Scheduler:
             return frag
         pipe = self._variant(ctx, [loop], "pipe",
                              lambda c: _pipelined_or_none(c, loop))
-        if get_backend().batched and _cond_count(ctx, loop) <= 8:
-            # No early-out possible below the condition-count shortcut:
-            # build both variants, then solve their measuring chains in
-            # one flush (pipe first, preserving error order).
-            seq = self._variant(
-                ctx, [loop], "seq",
-                lambda c: sequential_loop(c, loop, self._region))
-            self._measure_variants([pipe, seq])
-            pipe_len = self._variant_len(pipe)
-            seq_len = self._variant_len(seq)
-        else:
-            pipe_len = self._variant_len(pipe)
-            if pipe_len is not None and _cond_count(ctx, loop) > 8:
-                frag, _ = splice(ctx.stg, pipe)
-                return frag
-            seq = self._variant(
-                ctx, [loop], "seq",
-                lambda c: sequential_loop(c, loop, self._region))
-            seq_len = self._variant_len(seq)
+        pipe_len = self._variant_len(pipe)
+        if pipe_len is not None and _cond_count(ctx, loop) > 8:
+            frag, _ = splice(ctx.stg, pipe)
+            return frag
+        seq = self._variant(
+            ctx, [loop], "seq",
+            lambda c: sequential_loop(c, loop, self._region))
+        seq_len = self._variant_len(seq)
         if pipe_len is not None and (seq_len is None or pipe_len < seq_len):
             frag, _ = splice(ctx.stg, pipe)
             return frag
@@ -506,10 +426,8 @@ class Scheduler:
             cached.measured_len = self._measure_cached(cached)
         return cached.measured_len
 
-    @staticmethod
-    def _measuring_stg(cached: CachedFragment) -> Stg:
-        """A cached variant spliced into its measuring chain (the same
-        wrapper ``_measure`` builds)."""
+    def _measure_cached(self, cached: CachedFragment) -> float:
+        """Measure a cached variant exactly as ``_measure`` would."""
         scratch = Stg("scratch")
         frag, _ = splice(scratch, cached)
         entry = scratch.add_state(label="in")
@@ -520,11 +438,6 @@ class Scheduler:
             connect(scratch, [(entry, 1.0, "")], frag.entries)
             connect(scratch, frag.exits, [(exit_, 1.0, "")])
         scratch.entry, scratch.exit = entry, exit_
-        return scratch
-
-    def _measure_cached(self, cached: CachedFragment) -> float:
-        """Measure a cached variant exactly as ``_measure`` would."""
-        scratch = self._measuring_stg(cached)
         cache = self.region_cache
         assert cache is not None
         t0 = time.perf_counter()
@@ -532,69 +445,6 @@ class Scheduler:
             return average_schedule_length(scratch)
         finally:
             cache.solver_time += time.perf_counter() - t0
-
-    def _measure_variants(self, variants: List[CachedFragment]) -> None:
-        """Fill ``measured_len`` for several variants in one flush.
-
-        Batched-backend companion to :meth:`_variant_len`: the
-        measuring chains of every unmeasured, successfully built
-        variant are solved together.  A MarkovError from any chain
-        propagates in list order, mirroring the sequential measures.
-        """
-        pending: List[CachedFragment] = []
-        seen = set()
-        for variant in variants:
-            if variant.build_failed or variant.measured_len is not None:
-                continue
-            if id(variant) in seen:
-                continue
-            seen.add(id(variant))
-            pending.append(variant)
-        if not pending:
-            return
-        scratches = [self._measuring_stg(v) for v in pending]
-        cache = self.region_cache
-        assert cache is not None
-        t0 = time.perf_counter()
-        try:
-            lengths = average_schedule_lengths(scratches)
-        finally:
-            cache.solver_time += time.perf_counter() - t0
-        for variant, length in zip(pending, lengths):
-            variant.measured_len = length
-
-    def _measure_pair(self, variant: CachedFragment,
-                      scratch: Optional[Stg]
-                      ) -> "tuple[Optional[float], Optional[float]]":
-        """Measure a cached variant and a plain scratch chain together.
-
-        One flush covers both chains (variant first, so its MarkovError
-        — the one the sequential path would hit first — wins on error).
-        Returns ``(variant_len, scratch_len)``.
-        """
-        stgs: List[Stg] = []
-        measure_variant = (not variant.build_failed
-                           and variant.measured_len is None)
-        if measure_variant:
-            stgs.append(self._measuring_stg(variant))
-        if scratch is not None:
-            stgs.append(scratch)
-        lengths: List[float] = []
-        if stgs:
-            cache = self.region_cache
-            assert cache is not None
-            t0 = time.perf_counter()
-            try:
-                lengths = average_schedule_lengths(stgs)
-            finally:
-                cache.solver_time += time.perf_counter() - t0
-        pos = 0
-        if measure_variant:
-            variant.measured_len = lengths[pos]
-            pos += 1
-        variant_len = None if variant.build_failed else variant.measured_len
-        scratch_len = lengths[pos] if scratch is not None else None
-        return variant_len, scratch_len
 
     def _spliced_visits(self, stg: Stg, once: List[int],
                         span=None) -> Dict[int, float]:
@@ -610,109 +460,39 @@ class Scheduler:
         """
         cache = self.region_cache
         assert cache is not None
-        if get_backend().batched and self._pieces:
-            # One flush covers every dirty fragment of this candidate —
-            # the primary batch point of the batched numeric backend.
-            fragment_visits_list = cache.visits_of_many(
-                [cached for cached, _ in self._pieces])
-        else:
-            fragment_visits_list = []
-            for cached, _idmap in self._pieces:
-                fv = cache.visits_of(cached)
-                fragment_visits_list.append(fv)
-                if fv is None:
-                    break
-        visits = _splice_totals(stg, once, self._pieces,
-                                fragment_visits_list)
-        if visits is not None:
-            return visits
+        visits: Dict[int, float] = {}
+        ok = True
+        for cached, idmap in self._pieces:
+            fv = cache.visits_of(cached)
+            if fv is None:
+                ok = False
+                break
+            for local_sid, v in fv.items():
+                visits[idmap[local_sid]] = v
+        if ok:
+            for sid in once:
+                visits[sid] = 1.0
+            if len(visits) == len(stg.states):
+                # Iteration order must match expected_visits() (transient
+                # states by id, exit last): downstream sums over
+                # .values() are float-order sensitive, and both
+                # evaluation paths must produce bit-identical metrics.
+                ordered = {sid: visits[sid] for sid in sorted(visits)
+                           if sid != stg.exit}
+                ordered[stg.exit] = visits[stg.exit]
+                return ordered
         if span is not None:
             # Singular sub-chain or non-tiling fragments: the whole
             # chain is re-solved (see docs/observability.md on why a
             # high fallback count hurts incremental evaluation).
             span.set(markov_fallback=True)
-        return _full_visits(stg, cache)
-
-
-def _splice_totals(stg: Stg, once: List[int], pieces: List[tuple],
-                   fragment_visits_list) -> Optional[Dict[int, float]]:
-    """Splice per-fragment visit totals into whole-STG visits.
-
-    Returns None when any fragment's sub-chain could not be solved in
-    isolation or the fragments do not tile the STG — callers then fall
-    back to one full-chain solve (:func:`_full_visits`).  Iteration
-    order must match ``expected_visits()`` (transient states by id,
-    exit last): downstream sums over ``.values()`` are float-order
-    sensitive, and every evaluation path must produce bit-identical
-    metrics.
-    """
-    visits: Dict[int, float] = {}
-    for (cached, idmap), fv in zip(pieces, fragment_visits_list):
-        if fv is None:
-            return None
-        for local_sid, v in fv.items():
-            visits[idmap[local_sid]] = v
-    for sid in once:
-        visits[sid] = 1.0
-    if len(visits) != len(stg.states):
-        return None
-    ordered = {sid: visits[sid] for sid in sorted(visits)
-               if sid != stg.exit}
-    ordered[stg.exit] = visits[stg.exit]
-    return ordered
-
-
-def _full_visits(stg: Stg, cache: RegionScheduleCache) -> Dict[int, float]:
-    """One full-chain solve, timed and counted like the classic path."""
-    t0 = time.perf_counter()
-    try:
-        full = expected_visits(stg)
-    finally:
-        cache.solver_time += time.perf_counter() - t0
-    cache.markov_full += 1
-    return full
-
-
-def resolve_visits(pendings: Sequence[PendingVisits],
-                   cache: RegionScheduleCache) -> List[Optional[Exception]]:
-    """Fill ``result.visits`` for many deferred candidates in one flush.
-
-    The cross-candidate batch point of the batched numeric backend: the
-    dirty fragments of *every* pending candidate are solved through one
-    :meth:`~repro.sched.regioncache.RegionScheduleCache.visits_of_many`
-    call — fragments shared between candidates are solved once and
-    reused, exactly as the sequential walk's memoization would have
-    reused them, and each sub-chain's solution is independent of its
-    flushmates, so the assembled totals are bit-identical to the
-    per-candidate path.  Callers may therefore flush any sub-batch at
-    any time: the barrier engine flushes once per generation, while the
-    streaming engine flushes every few candidates to keep results
-    flowing — both produce the same numbers.
-
-    Returns one entry per pending candidate: None on success, or the
-    :class:`~repro.errors.MarkovError` its full-chain fallback raised —
-    the error the sequential path would have raised from inside
-    ``schedule()``, which the engine maps to an unschedulable score.
-    """
-    fragment_visits_list = cache.visits_of_many(
-        [cached for p in pendings for cached, _ in p.pieces])
-    out: List[Optional[Exception]] = []
-    pos = 0
-    for p in pendings:
-        take = fragment_visits_list[pos:pos + len(p.pieces)]
-        pos += len(p.pieces)
-        visits = _splice_totals(p.result.stg, p.once, p.pieces, take)
-        if visits is None:
-            if p.span is not None:
-                p.span.set(markov_fallback=True)
-            try:
-                visits = _full_visits(p.result.stg, cache)
-            except MarkovError as err:
-                out.append(err)
-                continue
-        p.result.visits = visits
-        out.append(None)
-    return out
+        t0 = time.perf_counter()
+        try:
+            full = expected_visits(stg)
+        finally:
+            cache.solver_time += time.perf_counter() - t0
+        cache.markov_full += 1
+        return full
 
 
 def schedule_behavior(behavior: Behavior, library: Library,

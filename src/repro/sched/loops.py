@@ -15,8 +15,7 @@ from typing import Callable, List, Optional
 
 from ..cdfg.regions import BlockRegion, LoopRegion, Region, SeqRegion
 from ..errors import ScheduleError
-from ..numeric import get_backend
-from ..stg.markov import average_schedule_length, average_schedule_lengths
+from ..stg.markov import average_schedule_length
 from ..stg.model import Stg
 from .branching import ScheduleContext, block_fragment
 from .fragments import Frag, Port, compose, connect, single_entry
@@ -65,39 +64,12 @@ def loop_fragment(ctx: ScheduleContext, loop: LoopRegion,
     """
     if not ctx.config.allow_pipelining:
         return sequential_loop(ctx, loop, region_fn)
-    if get_backend().batched and _cond_count(ctx, loop) <= 8:
-        return _loop_fragment_batched(ctx, loop, region_fn)
     pipe_len = _measure(ctx, lambda c: _pipelined_or_none(c, loop))
     if pipe_len is not None and _cond_count(ctx, loop) > 8:
         pipelined = pipeline_loop(ctx, loop)
         assert pipelined is not None
         return pipelined.frag
     seq_len = _measure(ctx, lambda c: sequential_loop(c, loop, region_fn))
-    if pipe_len is not None and (seq_len is None or pipe_len < seq_len):
-        pipelined = pipeline_loop(ctx, loop)
-        assert pipelined is not None
-        return pipelined.frag
-    return sequential_loop(ctx, loop, region_fn)
-
-
-def _loop_fragment_batched(ctx: ScheduleContext, loop: LoopRegion,
-                           region_fn: RegionScheduler) -> Frag:
-    """:func:`loop_fragment` for the batched backend, small bodies.
-
-    Below the condition-count shortcut both variants always get
-    measured, so their chains can be built first and solved in one
-    flush (pipelined first, preserving the sequential path's error
-    order).  The winner comparison — and the winner rebuild — is
-    unchanged, so the chosen fragment is identical to the scalar
-    path's.
-    """
-    pipe_scratch = _measure_build(ctx, lambda c: _pipelined_or_none(c, loop))
-    seq_scratch = _measure_build(
-        ctx, lambda c: sequential_loop(c, loop, region_fn))
-    stgs = [s for s in (pipe_scratch, seq_scratch) if s is not None]
-    lengths = iter(average_schedule_lengths(stgs))
-    pipe_len = next(lengths) if pipe_scratch is not None else None
-    seq_len = next(lengths) if seq_scratch is not None else None
     if pipe_len is not None and (seq_len is None or pipe_len < seq_len):
         pipelined = pipeline_loop(ctx, loop)
         assert pipelined is not None
@@ -120,10 +92,10 @@ def _pipelined_or_none(ctx: ScheduleContext,
     return result.frag if result is not None else None
 
 
-def _measure_build(ctx: ScheduleContext,
-                   build: Callable[[ScheduleContext], Optional[Frag]]
-                   ) -> Optional[Stg]:
-    """Build a fragment into a measuring scratch STG; None on failure."""
+def _measure(ctx: ScheduleContext,
+             build: Callable[[ScheduleContext], Optional[Frag]]
+             ) -> Optional[float]:
+    """Expected cycles of a fragment, built into a scratch STG."""
     scratch = Stg("scratch")
     sub = ctx.with_stg(scratch)
     try:
@@ -140,14 +112,4 @@ def _measure_build(ctx: ScheduleContext,
         connect(scratch, [(entry, 1.0, "")], frag.entries)
         connect(scratch, frag.exits, [(exit_, 1.0, "")])
     scratch.entry, scratch.exit = entry, exit_
-    return scratch
-
-
-def _measure(ctx: ScheduleContext,
-             build: Callable[[ScheduleContext], Optional[Frag]]
-             ) -> Optional[float]:
-    """Expected cycles of a fragment, built into a scratch STG."""
-    scratch = _measure_build(ctx, build)
-    if scratch is None:
-        return None
     return average_schedule_length(scratch)

@@ -51,8 +51,7 @@ from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
 from ..errors import MarkovError, ScheduleError
-from ..stg.markov import (build_fragment_system, finish_visits,
-                          fragment_visits, solve_systems)
+from ..stg.markov import fragment_visits
 from ..stg.model import ScheduledOp, Stg
 from .fragments import Frag, Port
 
@@ -281,79 +280,6 @@ class RegionScheduleCache:
             self.solver_time += time.perf_counter() - t0
         self.markov_local += 1
         return cached.visits
-
-    def visits_of_many(self, cacheds: Sequence[CachedFragment]
-                       ) -> List[Optional[Dict[int, float]]]:
-        """Batched :meth:`visits_of` over one candidate's fragments.
-
-        Under the scalar backend this defers to sequential
-        :meth:`visits_of` calls — the classic path, byte for byte.
-        Under the batched backend every unsolved sub-chain is assembled
-        first and the solves go out in one flush; memoized fragments,
-        duplicates within the batch and per-fragment failures resolve
-        exactly as the sequential walk would have resolved them.
-        """
-        from ..numeric import get_backend
-        if not get_backend().batched:
-            return [self.visits_of(cached) for cached in cacheds]
-        out: List[Optional[Dict[int, float]]] = [None] * len(cacheds)
-        todo: List[int] = []
-        queued: Set[int] = set()
-        dups: List[int] = []
-        for i, cached in enumerate(cacheds):
-            if cached.solve_failed:
-                continue
-            if cached.visits is not None:
-                self.markov_reused += 1
-                out[i] = cached.visits
-                continue
-            if not cached.entries:
-                cached.visits = {}
-                out[i] = cached.visits
-                continue
-            if id(cached) in queued:
-                # Same fragment object twice in one candidate: solve it
-                # once, serve the repeat from the memo afterwards (the
-                # sequential walk's second call would have reused it).
-                dups.append(i)
-                continue
-            queued.add(id(cached))
-            todo.append(i)
-        if todo:
-            t0 = time.perf_counter()
-            systems = []
-            where: List[int] = []
-            for i in todo:
-                cached = cacheds[i]
-                sources: Dict[int, float] = {}
-                for sid, weight, _label in cached.entries:
-                    sources[sid] = sources.get(sid, 0.0) + weight
-                try:
-                    system = build_fragment_system(cached.stg, sources)
-                except MarkovError:
-                    cached.solve_failed = True
-                    continue
-                if system is None:
-                    cached.visits = {}
-                    out[i] = cached.visits
-                    continue
-                systems.append(system)
-                where.append(i)
-            for i, system, solved in zip(where, systems,
-                                         solve_systems(systems)):
-                cached = cacheds[i]
-                if isinstance(solved, MarkovError):
-                    cached.solve_failed = True
-                    continue
-                cached.visits = finish_visits(system, solved)
-                self.markov_local += 1
-                out[i] = cached.visits
-            self.solver_time += time.perf_counter() - t0
-        for i in dups:
-            if cacheds[i].visits is not None:
-                self.markov_reused += 1
-                out[i] = cacheds[i].visits
-        return out
 
     # -- bookkeeping ----------------------------------------------------
     def snapshot(self) -> Tuple[int, int, int, int, int, float, int, int,

@@ -2,7 +2,7 @@
 
 The strategy layer splits the FACT search into a harness
 (:class:`~repro.core.search.TransformSearch` — owns the shared
-evaluation engine, caches, streaming, budget and telemetry) and
+evaluation engine, caches, budget and telemetry) and
 strategies (this package — decide what to evaluate and what to keep):
 
 * :class:`~repro.search.strategy.GreedyStrategy` — the paper's loop,

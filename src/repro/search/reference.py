@@ -89,8 +89,7 @@ def reference_search(transforms: TransformLibrary, library: Library,
             library, allocation, objective, sched_config=sched_config,
             branch_probs=branch_probs, workers=cfg.workers,
             cache_size=cfg.cache_size, incremental=cfg.incremental,
-            region_cache_size=cfg.region_cache_size,
-            numeric_backend=cfg.numeric_backend)
+            region_cache_size=cfg.region_cache_size)
     try:
         initial = engine.evaluate(behavior)
         if initial.result is None:

@@ -6,8 +6,8 @@ Figure-6 loop; it is now a strategy-agnostic harness.  A
 (``propose``) and **what** to keep (``observe``); the harness owns
 everything the strategies share — the
 :class:`~repro.core.engine.EvaluationEngine` with its memoization
-cache, the region-schedule cache, streaming, telemetry and the
-evaluation budget.
+cache, the region-schedule cache, telemetry and the evaluation
+budget.
 
 :class:`GreedyStrategy` is the paper's loop extracted verbatim: under a
 fixed seed it consumes the run RNG in exactly the order the monolithic

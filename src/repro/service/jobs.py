@@ -324,27 +324,6 @@ class JobResult:
     def store_hit_rate(self) -> float:
         return self.store_stats.hit_rate if self.store_stats else 0.0
 
-    # -- deprecated pre-service accessors -------------------------------
-    @property
-    def interrupted(self) -> bool:
-        """Deprecated: compare ``state`` to :class:`JobState` instead."""
-        import warnings
-        warnings.warn(
-            "JobResult.interrupted is deprecated; check "
-            "result.state is JobState.CANCELLED instead",
-            DeprecationWarning, stacklevel=2)
-        return self.state is JobState.CANCELLED
-
-    @property
-    def checkpoint_path(self) -> str:
-        """Deprecated: use ``checkpoint``."""
-        import warnings
-        warnings.warn(
-            "JobResult.checkpoint_path is deprecated; use "
-            "result.checkpoint instead",
-            DeprecationWarning, stacklevel=2)
-        return self.checkpoint
-
 
 @dataclass
 class JobRecord:

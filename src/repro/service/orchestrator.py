@@ -78,9 +78,6 @@ class OrchestratorConfig:
     respawn_backoff: float = 0.1  #: base respawn delay (doubles)
     queue_bound: int = 8      #: collector->merger queue bound
     isolate_stores: bool = False  #: per-job sub-stores, synced on merge
-    #: run shard campaigns through the streaming evaluation pipeline
-    #: (byte-identical fronts; see docs/pipeline.md)
-    streaming: bool = False
 
 
 class ShardBoard:
@@ -333,22 +330,13 @@ def shard_store_root(store_root: Union[str, "os.PathLike[str]"],
 
 def _run_shard(shard: ShardSpec,
                store_root: Union[str, "os.PathLike[str]"],
-               isolate: bool,
-               streaming: bool = False) -> Dict[str, object]:
+               isolate: bool) -> Dict[str, object]:
     """Execute one shard to a result document (workers call this)."""
-    from dataclasses import replace
     from .. import api
     from ..explore.runner import ExploreRunner
     behavior = api.compile(shard.spec.source)
     alloc = api.coerce_allocation(shard.spec.alloc)
     cfg = shard.explore_config()
-    if streaming:
-        # Streaming is normalized out of run fingerprints, so a shard
-        # checkpointed under one mode resumes cleanly under the other.
-        cfg = replace(
-            cfg, streaming=True,
-            search=replace(cfg.search, streaming=True)
-            if cfg.search is not None else None)
     probs = api.default_branch_probs(
         behavior, profile_traces=shard.spec.profile_traces,
         seed=cfg.warm_start_search().seed)
@@ -367,8 +355,7 @@ def _run_shard(shard: ShardSpec,
 
 def _worker_main(board_root: str, store_root: str, worker: str,
                  isolate: bool, poll: float, max_attempts: int,
-                 inline: bool = False,
-                 streaming: bool = False) -> None:
+                 inline: bool = False) -> None:
     """Worker loop: steal-claim shards off the board until drained."""
     if not inline:
         try:
@@ -391,7 +378,7 @@ def _worker_main(board_root: str, store_root: str, worker: str,
         beat.start()
         started = time.perf_counter()
         try:
-            doc = _run_shard(shard, store_root, isolate, streaming)
+            doc = _run_shard(shard, store_root, isolate)
         except ReproError as exc:
             # Deterministic failure: retrying reproduces it exactly.
             doc = {"shard": shard.shard_id, "error": str(exc),
@@ -518,7 +505,7 @@ class CampaignOrchestrator:
                     None, _worker_main, str(board.root),
                     str(self.store_root), "inline-0",
                     cfg.isolate_stores, cfg.poll, cfg.max_attempts,
-                    True, cfg.streaming)
+                    True)
             cancelled = False
             try:
                 waiting = {merger, monitor}
@@ -568,8 +555,7 @@ class CampaignOrchestrator:
         proc = ctx.Process(
             target=_worker_main,
             args=(str(board.root), str(self.store_root), name,
-                  cfg.isolate_stores, cfg.poll, cfg.max_attempts,
-                  False, cfg.streaming),
+                  cfg.isolate_stores, cfg.poll, cfg.max_attempts),
             name=name, daemon=True)
         proc.start()
         self._procs.append(proc)
@@ -735,7 +721,6 @@ def serve(queue: Union[JobQueue, str, "os.PathLike[str]", None]
           workers: int = 2, once: bool = False, poll: float = 0.5,
           max_batch: Optional[int] = None,
           isolate_stores: bool = False,
-          streaming: bool = False,
           config: Optional[OrchestratorConfig] = None,
           tracer: Optional[AnyTracer] = None,
           metrics: Optional[MetricsRegistry] = None) -> int:
@@ -757,8 +742,7 @@ def serve(queue: Union[JobQueue, str, "os.PathLike[str]", None]
                              else default_queue_root(store_root))
     base = config or OrchestratorConfig()
     base = replace(base, workers=workers,
-                   isolate_stores=isolate_stores,
-                   streaming=streaming or base.streaming)
+                   isolate_stores=isolate_stores)
     drain = threading.Event()
     previous = None
     in_main = (threading.current_thread()

@@ -27,18 +27,20 @@ is the no-op :data:`~repro.obs.trace.NULL_TRACER`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..errors import MarkovError
-from ..numeric import get_backend
 from ..obs.trace import NULL_TRACER, AnyTracer
 from .model import Stg, Transition
 
 #: Process-local tracer for markov.solve spans (see :func:`set_tracer`).
 _TRACER: AnyTracer = NULL_TRACER
+
+#: Seconds this process has spent inside absorbing-chain solves (see
+#: :func:`solve_seconds`).
+_SOLVE_SECONDS = 0.0
 
 
 def set_tracer(tracer: AnyTracer) -> None:
@@ -50,6 +52,19 @@ def set_tracer(tracer: AnyTracer) -> None:
     """
     global _TRACER
     _TRACER = tracer if tracer is not None else NULL_TRACER
+
+
+def solve_seconds() -> float:
+    """Seconds this process has spent inside absorbing-chain solves.
+
+    A monotone process-local counter, like the tracer hook: the
+    evaluation engine diffs it around each candidate and ships the
+    delta home as ``EvalStats.numeric_seconds`` (matrix assembly from
+    transitions, LAPACK and the validity check — the numeric core
+    without the STG walk around it).
+    """
+    return _SOLVE_SECONDS
+
 
 #: Use a sparse linear solve above this many states.
 SPARSE_THRESHOLD = 600
@@ -84,14 +99,10 @@ def _solve_visits(name: str, transitions: List[Transition],
 
     ``Q`` keeps only transitions whose source *and* destination are
     indexed; everything else (the exit state, or mass leaving a
-    fragment) simply drains.
-
-    Seconds spent here accrue to the installed backend's
-    ``solve_seconds`` (unless a batched flush, which times itself
-    wholesale, is the caller) — the numeric-core metric
-    ``EvalStats.numeric_seconds`` reports.
+    fragment) simply drains.  Time spent here accrues to
+    :func:`solve_seconds`.
     """
-    backend = get_backend()
+    global _SOLVE_SECONDS
     t0 = time.perf_counter()
     try:
         with _TRACER.span("markov.solve", states=n,
@@ -119,96 +130,7 @@ def _solve_visits(name: str, transitions: List[Transition],
                                   f"inconsistent probabilities")
             return v
     finally:
-        if not backend._in_flush:
-            backend.solve_seconds += time.perf_counter() - t0
-
-
-@dataclass
-class VisitSystem:
-    """One assembled absorbing-chain system ``(I − Qᵀ) v = e``.
-
-    The shared assembly product both numeric backends consume: the
-    scalar backend hands it straight to :func:`_solve_visits`, the
-    batched backend groups same-size systems into stacked LAPACK
-    calls.  ``index`` maps state ids to matrix rows in the order the
-    scalar path would have enumerated them, which is what keeps
-    :func:`finish_visits` dict ordering (and every float-order
-    sensitive sum downstream) backend-independent.
-    """
-
-    name: str
-    transitions: List[Transition]
-    index: Dict[int, int]
-    n: int
-    e: np.ndarray
-
-
-def build_chain_system(stg: Stg) -> Optional[VisitSystem]:
-    """Assemble the full-chain system :func:`expected_visits` solves.
-
-    Returns None when there are no transient states (entry == exit);
-    raises :class:`MarkovError` exactly where the scalar path would
-    (unreachable exit, size limit).
-    """
-    stg.validate()
-    if stg.exit not in stg.reachable():
-        raise MarkovError(f"{stg.name}: exit state unreachable from entry")
-    transient = [sid for sid in stg.state_ids() if sid != stg.exit]
-    index = {sid: i for i, sid in enumerate(transient)}
-    n = len(transient)
-    if n == 0:
-        return None
-    if n > MAX_STATES:
-        raise MarkovError(
-            f"{stg.name}: {n} states exceeds the analysis limit "
-            f"{MAX_STATES}; the schedule is degenerate")
-    e = np.zeros(n)
-    if stg.entry != stg.exit:
-        e[index[stg.entry]] = 1.0
-    return VisitSystem(stg.name, stg.transitions, index, n, e)
-
-
-def build_fragment_system(stg: Stg, sources: Mapping[int, float]
-                          ) -> Optional[VisitSystem]:
-    """Assemble the fragment system :func:`fragment_visits` solves.
-
-    Returns None for an empty fragment (no states); raises
-    :class:`MarkovError` for unknown source states or oversized
-    fragments, exactly like the scalar path.
-    """
-    ids = stg.state_ids()
-    n = len(ids)
-    if n == 0:
-        return None
-    if n > MAX_STATES:
-        raise MarkovError(
-            f"{stg.name}: {n} states exceeds the analysis limit "
-            f"{MAX_STATES}; the schedule is degenerate")
-    index = {sid: i for i, sid in enumerate(ids)}
-    e = np.zeros(n)
-    for sid, weight in sources.items():
-        if sid not in index:
-            raise MarkovError(
-                f"{stg.name}: fragment source state {sid} does not exist")
-        e[index[sid]] += weight
-    return VisitSystem(stg.name, stg.transitions, index, n, e)
-
-
-def finish_visits(system: VisitSystem, v) -> Dict[int, float]:
-    """Solution vector → per-state visit dict (row order preserved)."""
-    return {sid: max(float(v[i]), 0.0)
-            for sid, i in system.index.items()}
-
-
-def solve_systems(systems: Sequence[VisitSystem]
-                  ) -> List[Union[np.ndarray, MarkovError]]:
-    """Solve many assembled systems through the installed backend.
-
-    Returns one entry per system: the raw solution vector, or the
-    :class:`MarkovError` that system produced (captured, not raised, so
-    one singular fragment cannot mask its batchmates' results).
-    """
-    return get_backend().solve_systems(systems)
+        _SOLVE_SECONDS += time.perf_counter() - t0
 
 
 def expected_visits(stg: Stg) -> Dict[int, float]:
@@ -222,44 +144,25 @@ def expected_visits(stg: Stg) -> Dict[int, float]:
         MarkovError: if the exit is unreachable or the chain does not
             terminate with probability 1 (singular system).
     """
-    system = build_chain_system(stg)
-    if system is None:
+    stg.validate()
+    if stg.exit not in stg.reachable():
+        raise MarkovError(f"{stg.name}: exit state unreachable from entry")
+    transient = [sid for sid in stg.state_ids() if sid != stg.exit]
+    index = {sid: i for i, sid in enumerate(transient)}
+    n = len(transient)
+    if n == 0:
         return {stg.exit: 1.0}
-    v = _solve_visits(system.name, system.transitions, system.index,
-                      system.n, system.e)
-    visits = finish_visits(system, v)
+    if n > MAX_STATES:
+        raise MarkovError(
+            f"{stg.name}: {n} states exceeds the analysis limit "
+            f"{MAX_STATES}; the schedule is degenerate")
+    e = np.zeros(n)
+    if stg.entry != stg.exit:
+        e[index[stg.entry]] = 1.0
+    v = _solve_visits(stg.name, stg.transitions, index, n, e)
+    visits = {sid: max(float(v[i]), 0.0) for sid, i in index.items()}
     visits[stg.exit] = 1.0
     return visits
-
-
-def expected_visits_many(stgs: Sequence[Stg]) -> List[Dict[int, float]]:
-    """:func:`expected_visits` over many STGs in one backend flush.
-
-    Under the scalar backend this is a plain sequential loop (the
-    classic path, byte for byte).  Under the batched backend every
-    chain is assembled first and the solves go out as one flush; a
-    failing chain's MarkovError is raised in list order, mirroring the
-    scalar sequence.
-    """
-    if not get_backend().batched:
-        return [expected_visits(stg) for stg in stgs]
-    out: List[Optional[Dict[int, float]]] = [None] * len(stgs)
-    systems: List[VisitSystem] = []
-    where: List[int] = []
-    for i, stg in enumerate(stgs):
-        system = build_chain_system(stg)
-        if system is None:
-            out[i] = {stg.exit: 1.0}
-        else:
-            systems.append(system)
-            where.append(i)
-    for i, system, solved in zip(where, systems, solve_systems(systems)):
-        if isinstance(solved, MarkovError):
-            raise solved
-        visits = finish_visits(system, solved)
-        visits[stgs[i].exit] = 1.0
-        out[i] = visits
-    return out  # type: ignore[return-value]
 
 
 def fragment_visits(stg: Stg, sources: Mapping[int, float]
@@ -285,23 +188,28 @@ def fragment_visits(stg: Stg, sources: Mapping[int, float]
             drain (singular system) — callers fall back to a full
             :func:`expected_visits` solve.
     """
-    system = build_fragment_system(stg, sources)
-    if system is None:
+    ids = stg.state_ids()
+    n = len(ids)
+    if n == 0:
         return {}
-    v = _solve_visits(system.name, system.transitions, system.index,
-                      system.n, system.e)
-    return finish_visits(system, v)
+    if n > MAX_STATES:
+        raise MarkovError(
+            f"{stg.name}: {n} states exceeds the analysis limit "
+            f"{MAX_STATES}; the schedule is degenerate")
+    index = {sid: i for i, sid in enumerate(ids)}
+    e = np.zeros(n)
+    for sid, weight in sources.items():
+        if sid not in index:
+            raise MarkovError(
+                f"{stg.name}: fragment source state {sid} does not exist")
+        e[index[sid]] += weight
+    v = _solve_visits(stg.name, stg.transitions, index, n, e)
+    return {sid: max(float(v[i]), 0.0) for sid, i in index.items()}
 
 
 def average_schedule_length(stg: Stg) -> float:
     """Expected cycles for one execution (entry → exit, inclusive)."""
     return float(sum(expected_visits(stg).values()))
-
-
-def average_schedule_lengths(stgs: Sequence[Stg]) -> List[float]:
-    """:func:`average_schedule_length` over many STGs in one flush."""
-    return [float(sum(visits.values()))
-            for visits in expected_visits_many(stgs)]
 
 
 def state_probabilities(stg: Stg,

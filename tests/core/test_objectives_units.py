@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core import Objective, POWER, SearchConfig, THROUGHPUT
+from repro.core.engine import Evaluated
 from repro.core.search import TransformSearch
 from repro.errors import SearchError
 from repro.hw import Allocation, dac98_library
 from repro.lang import compile_source
 from repro.sched import SchedConfig, schedule_behavior
+from repro.search import GreedyStrategy
 from repro.transforms import TransformLibrary
 
 LIB = dac98_library()
@@ -65,36 +67,32 @@ class TestObjective:
 
 
 class TestSelectionMechanics:
-    def _search(self, k0, k_step=0.0, seed=0):
-        return TransformSearch(
-            TransformLibrary([]), LIB, Allocation({"a1": 1}),
-            Objective(THROUGHPUT),
-            config=SearchConfig(k0=k0, k_step=k_step, seed=seed,
-                                in_set_size=2))
+    def _greedy(self, k0, k_step=0.0, seed=0):
+        """The Fig. 6 In_set draw as production runs it."""
+        cfg = SearchConfig(k0=k0, k_step=k_step, seed=seed,
+                           in_set_size=2)
+        return GreedyStrategy(cfg, expander=lambda seeds, rng: [])
 
     def test_high_k_selects_best_ranks(self):
-        from repro.core.search import Evaluated
-        search = self._search(k0=50.0)
+        greedy = self._greedy(k0=50.0)
         ranked = [Evaluated(None, None, float(i)) for i in range(10)]
-        chosen = search._select(ranked, k=50.0)
+        chosen = greedy._select(ranked, k=50.0)
         assert [e.score for e in chosen] == [0.0, 1.0]
 
     def test_zero_k_is_uniform_sampling(self):
-        from repro.core.search import Evaluated
         counts = {i: 0 for i in range(6)}
         for seed in range(200):
-            search = self._search(k0=0.0, seed=seed)
+            greedy = self._greedy(k0=0.0, seed=seed)
             ranked = [Evaluated(None, None, float(i)) for i in range(6)]
-            for e in search._select(ranked, k=0.0):
+            for e in greedy._select(ranked, k=0.0):
                 counts[int(e.score)] += 1
         # Every rank gets selected sometimes under uniform sampling.
         assert all(c > 20 for c in counts.values()), counts
 
     def test_selection_without_replacement(self):
-        from repro.core.search import Evaluated
-        search = self._search(k0=1.0)
+        greedy = self._greedy(k0=1.0)
         ranked = [Evaluated(None, None, float(i)) for i in range(2)]
-        chosen = search._select(ranked, k=1.0)
+        chosen = greedy._select(ranked, k=1.0)
         assert len(chosen) == 2
         assert {e.score for e in chosen} == {0.0, 1.0}
 

@@ -102,6 +102,17 @@ class TestBackendIndependence:
             assert e.states_built + e.states_reused > 0
             assert 0.0 < e.reschedule_fraction <= 1.0
 
+    def test_numeric_seconds_accrue_on_both_backends(
+            self, serial_and_pool):
+        # Markov solve time rides home per candidate like the region
+        # counters; the benchmark's numeric.seconds reads this field.
+        serial, pool = serial_and_pool
+        assert pool.backend == "process"
+        for tel in (serial, pool):
+            assert tel.eval.numeric_seconds > 0
+            assert tel.metrics().value("numeric.solve_seconds") \
+                == tel.eval.numeric_seconds
+
     def test_summary_totals_line_reports_worker_activity(
             self, serial_and_pool):
         serial, pool = serial_and_pool

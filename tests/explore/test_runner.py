@@ -181,52 +181,3 @@ class TestFacade:
                                store=tmp_path / "store")
         assert isinstance(result, repro.JobResult)
         assert result.ok
-
-
-class TestDeprecationShims:
-    """The pre-service API keeps working, with DeprecationWarnings."""
-
-    def test_result_interrupted_property_warns(self, gcd_setup,
-                                               tmp_path):
-        result = make_runner(gcd_setup, tmp_path).run()
-        with pytest.warns(DeprecationWarning,
-                          match="interrupted is deprecated"):
-            assert result.interrupted is False
-
-    def test_result_checkpoint_path_property_warns(self, gcd_setup,
-                                                   tmp_path):
-        result = make_runner(gcd_setup, tmp_path).run()
-        with pytest.warns(DeprecationWarning,
-                          match="checkpoint_path is deprecated"):
-            assert result.checkpoint_path == result.checkpoint
-
-    def test_runner_checkpoint_path_kwarg_warns(self, gcd_setup,
-                                                tmp_path):
-        beh, alloc, probs = gcd_setup
-        with pytest.warns(DeprecationWarning,
-                          match="checkpoint_path=.*deprecated"):
-            runner = ExploreRunner(
-                beh, alloc, branch_probs=probs,
-                config=small_config(), store=tmp_path / "s",
-                checkpoint_path=tmp_path / "old.ckpt")
-        assert runner.checkpoint == tmp_path / "old.ckpt"
-
-    def test_runner_checkpoint_path_attr_warns(self, gcd_setup,
-                                               tmp_path):
-        runner = make_runner(gcd_setup, tmp_path)
-        with pytest.warns(DeprecationWarning,
-                          match="checkpoint_path is deprecated"):
-            assert runner.checkpoint_path == runner.checkpoint
-
-    def test_explore_result_constructor_warns(self):
-        front = ParetoFront(baseline_length=10.0)
-        with pytest.warns(DeprecationWarning,
-                          match="ExploreResult is deprecated"):
-            legacy = repro.ExploreResult(front, 3, interrupted=True,
-                                         checkpoint_path="x.ckpt")
-        assert isinstance(legacy, repro.JobResult)
-        assert legacy.state is JobState.CANCELLED
-        assert legacy.checkpoint == "x.ckpt"
-        # isinstance against the old name still holds for results
-        # built through the shim.
-        assert isinstance(legacy, repro.ExploreResult)

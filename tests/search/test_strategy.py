@@ -6,6 +6,8 @@ ships under — same best, same lineage, same history, same counters,
 serial and pooled.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.circuits import circuit
@@ -74,11 +76,6 @@ def test_greedy_matches_reference_edge_configs(kw):
     assert_identical(got, want)
 
 
-def test_greedy_matches_reference_streaming():
-    got, want = run_both("gcd", _cfg(streaming=True))
-    assert_identical(got, want)
-
-
 def test_macro_strategy_never_worse_than_its_own_seeds():
     beh, alloc, probs = _probs("test2")
     cfg = _cfg(strategy="macro")
@@ -108,8 +105,22 @@ def test_max_evaluations_caps_scheduled_work():
 
 
 def test_unknown_strategy_raises():
+    cfg = _cfg()
+    cfg.strategy = "anneal"  # bypasses the constructor's check
     with pytest.raises(SearchError, match="unknown search strategy"):
-        make_strategy(_cfg(strategy="anneal"), lambda depth: None)
+        make_strategy(cfg, lambda depth: None)
+
+
+def test_config_rejects_unknown_strategy():
+    """A bad strategy name fails when the config is built, before any
+    run can schedule the input or write to a store."""
+    with pytest.raises(SearchError,
+                       match=r"unknown search strategy 'anneal' "
+                             r"\(expected one of greedy, macro, "
+                             r"portfolio\)"):
+        SearchConfig(strategy="anneal")
+    with pytest.raises(SearchError, match="unknown search strategy"):
+        replace(SearchConfig(), strategy="anneal")
 
 
 class TestImprovement:

@@ -1,5 +1,7 @@
 """STG miscellany: DOT export, simulation API, edge accessors."""
 
+import random
+
 import pytest
 
 from repro.errors import StgError
@@ -126,3 +128,53 @@ class TestRowDrift:
         stg = self._drifting(0.45, 0.45)
         with pytest.raises(StgError):
             walk_once(stg, random.Random(0))
+
+
+def geometric_loop(p_continue, name="loop"):
+    stg = Stg(name)
+    entry = stg.add_state(label="entry")
+    body = stg.add_state(label="body")
+    exit_ = stg.add_state(label="exit")
+    stg.add_transition(entry, body, 1.0)
+    stg.add_transition(body, body, p_continue, "continue")
+    stg.add_transition(body, exit_, 1.0 - p_continue, "exit")
+    stg.entry, stg.exit = entry, exit_
+    return stg
+
+
+class TestWalkOnce:
+    def _reference_walk(self, stg, rng):
+        """The pre-cumulative-table sampler, kept as the oracle."""
+        path = [stg.entry]
+        sid = stg.entry
+        while sid != stg.exit:
+            edges = stg.out_edges(sid)
+            total = sum(t.prob for t in edges)
+            r = rng.random() * total
+            acc = 0.0
+            nxt = edges[-1].dst
+            for t in edges:
+                acc += t.prob
+                if r < acc:
+                    nxt = t.dst
+                    break
+            sid = nxt
+            path.append(sid)
+        return path
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_bisect_sampler_matches_linear_scan(self, p):
+        """Same RNG stream, same path: the cumulative-row bisect picks
+        the same edge as the scalar scan on every step."""
+        stg = geometric_loop(p)
+        for seed in range(20):
+            got = walk_once(stg, random.Random(seed))
+            want = self._reference_walk(stg, random.Random(seed))
+            assert got == want
+
+    def test_simulate_deterministic(self):
+        stg = geometric_loop(0.7)
+        a = simulate(stg, runs=50, seed=3)
+        b = simulate(stg, runs=50, seed=3)
+        assert a.mean_length == b.mean_length
+        assert a.state_visit_rate == b.state_visit_rate

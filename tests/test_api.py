@@ -151,8 +151,8 @@ class TestExploreFacade:
                                       max_candidates_per_seed=8))
 
     def test_exports(self):
-        for name in ("explore", "ExploreConfig", "ExploreResult",
-                     "ParetoFront", "RunStore", "CacheStats"):
+        for name in ("explore", "ExploreConfig", "ParetoFront",
+                     "RunStore", "CacheStats"):
             assert hasattr(repro, name), name
 
     def test_explore_runs_and_reports_store_stats(self, tmp_path):
