@@ -99,11 +99,3 @@ class GuardAnalysis:
         cycle.
         """
         return conflicts(self.effective_guard(a), self.effective_guard(b))
-
-    def compatible_for_sharing(self, ids: Tuple[int, ...]) -> bool:
-        """True if every pair in ``ids`` is mutually exclusive."""
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if not self.mutually_exclusive(a, b):
-                    return False
-        return True

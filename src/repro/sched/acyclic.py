@@ -32,6 +32,10 @@ from .types import (BlockSchedule, OpSlot, Position, ResourceModel,
 
 _EPS = 1e-9
 
+#: Bound on one op's placement scan against a :class:`LinearTable`
+#: (guards against endless scans on inconsistent constraints).
+_HORIZON = 100_000
+
 
 def compute_priorities(graph: Graph, nodes: Iterable[int],
                        rm: ResourceModel) -> Dict[int, float]:
@@ -50,8 +54,8 @@ def compute_priorities(graph: Graph, nodes: Iterable[int],
 
 def schedule_acyclic(graph: Graph, nodes: Iterable[int], rm: ResourceModel,
                      config: SchedConfig, table,
-                     earliest: Optional[Dict[int, Position]] = None,
-                     horizon: int = 100_000) -> BlockSchedule:
+                     earliest: Optional[Dict[int, Position]] = None
+                     ) -> BlockSchedule:
     """List-schedule ``nodes`` against the given reservation table.
 
     Args:
@@ -62,15 +66,14 @@ def schedule_acyclic(graph: Graph, nodes: Iterable[int], rm: ResourceModel,
         config: policy knobs (clock, chaining).
         table: a :class:`LinearTable` or :class:`ModuloTable`.
         earliest: optional per-node lower bounds on start position.
-        horizon: give up after scanning this many cycles for one op
-            (prevents infinite scans on inconsistent constraints).
 
     Returns:
         A :class:`BlockSchedule` with one slot per node.
 
     Raises:
         ScheduleError: if some op can never be placed (e.g. zero
-            allocation for its FU type).
+            allocation for its FU type, or no free slot in a modulo
+            table at its II).
     """
     ids = set(nodes)
     prio = compute_priorities(graph, ids, rm)
@@ -84,7 +87,7 @@ def schedule_acyclic(graph: Graph, nodes: Iterable[int], rm: ResourceModel,
     while ready:
         _negp, nid = heapq.heappop(ready)
         slot = _place_op(graph, nid, ids, rm, config, table, sched,
-                         earliest, horizon)
+                         earliest)
         sched.slots[nid] = slot
         placed += 1
         for s in graph.succs(nid):
@@ -138,8 +141,7 @@ def _earliest_position(graph: Graph, nid: int, ids, rm: ResourceModel,
 
 def _place_op(graph: Graph, nid: int, ids, rm: ResourceModel,
               config: SchedConfig, table, sched: BlockSchedule,
-              earliest: Optional[Dict[int, Position]],
-              horizon: int) -> OpSlot:
+              earliest: Optional[Dict[int, Position]]) -> OpSlot:
     pos = _earliest_position(graph, nid, ids, rm, sched, config,
                              earliest)
     delay = rm.delay_of(nid)
@@ -152,14 +154,16 @@ def _place_op(graph: Graph, nid: int, ids, rm: ResourceModel,
         raise ScheduleError(
             f"op {nid} ({node.label()}) needs resource {resource!r} but "
             f"the allocation provides none")
-    if isinstance(table, ModuloTable):
+    modulo = isinstance(table, ModuloTable)
+    if modulo:
         min_cycles = max(1, math.ceil(delay / clock - _EPS))
         if min_cycles > table.ii:
             raise ScheduleError(
                 f"op {nid} occupies {min_cycles} cycles, exceeding the "
                 f"initiation interval {table.ii}")
     cycle, ns = pos.cycle, pos.ns
-    for _ in range(horizon):
+    misses = 0
+    for _ in range(_HORIZON):
         if delay <= clock - ns + _EPS:
             n_cycles = 1
             end_cycle, end_ns = cycle, ns + delay
@@ -175,6 +179,14 @@ def _place_op(graph: Graph, nid: int, ids, rm: ResourceModel,
             if resource is not None:
                 table.place(cycle, n_cycles, resource, nid)
             return OpSlot(cycle, ns, end_cycle, end_ns)
+        if modulo and ns == 0.0:
+            # Every probe at offset 0 takes the same n_cycles, the scan
+            # never changes the table, and a modulo table repeats every
+            # II cycles: once II consecutive cycles have missed, every
+            # residue has, and no later cycle can fit.
+            misses += 1
+            if misses == table.ii:
+                break
         cycle, ns = cycle + 1, 0.0
         if isinstance(table, LinearTable):
             # Jump over saturated cycles in one step (the per-resource
@@ -182,6 +194,8 @@ def _place_op(graph: Graph, nid: int, ids, rm: ResourceModel,
             cycle = table.next_free_cycle(cycle, resource)
     node = graph.nodes[nid]
     cap = rm.capacity_of(resource) if resource else 0
+    where = (f"at initiation interval {table.ii}" if modulo
+             else f"within {_HORIZON} cycles")
     raise ScheduleError(
         f"cannot place op {nid} ({node.label()}) on {resource!r} "
-        f"(capacity {cap}) within {horizon} cycles")
+        f"(capacity {cap}) {where}")

@@ -22,15 +22,11 @@ from typing import Dict, List, Optional, Set
 
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import Behavior, LoopRegion
-from ..errors import ScheduleError
 from ..stg.model import ScheduledOp, Stg
-from .acyclic import schedule_acyclic
 from .branching import ScheduleContext
 from .fragments import Frag, Port
-from .pipeline import (_carried_ok, _exec_probs, continue_probability,
-                       flat_body_nodes)
-from .restable import ModuloTable
-from .types import BlockSchedule
+from .pipeline import (_exec_probs, continue_probability, flat_body_nodes,
+                       modulo_schedule)
 
 
 def arrays_accessed(ctx: ScheduleContext, nodes: Set[int],
@@ -171,23 +167,10 @@ def _phase_kernel(ctx: ScheduleContext, loops: List[LoopRegion],
                   active: List[int], union: Set[int], passes: float,
                   label: str) -> Optional[Frag]:
     """One phase: a cyclic kernel executing one iteration of each loop."""
-    share = ctx.guards.mutually_exclusive
-    sched: Optional[BlockSchedule] = None
-    ii_found = 0
-    for ii in range(1, ctx.config.max_ii + 1):
-        table = ModuloTable(ii, ctx.rm.capacity_of, share=share)
-        try:
-            candidate = schedule_acyclic(ctx.graph, sorted(union), ctx.rm,
-                                         ctx.config, table,
-                                         horizon=4 * ctx.config.max_ii + 64)
-        except ScheduleError:
-            continue
-        if all(_carried_ok(ctx, loops[i], union, candidate, ii)
-               for i in active):
-            sched, ii_found = candidate, ii
-            break
-    if sched is None:
+    found = modulo_schedule(ctx, sorted(union), [loops[i] for i in active])
+    if found is None:
         return None
+    sched, ii_found = found
     exec_probs = _exec_probs(ctx, sorted(union))
     rm = ctx.rm
     state_ids = []

@@ -20,7 +20,7 @@ The kernel is emitted as II cyclic states; iterations drain for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import BlockRegion, LoopRegion, SeqRegion
@@ -109,33 +109,38 @@ def _carried_ok(ctx: ScheduleContext, loop: LoopRegion, ids: Set[int],
     return True
 
 
+def modulo_schedule(ctx: ScheduleContext, nodes: List[int],
+                    loops: Sequence[LoopRegion]
+                    ) -> Optional[Tuple[BlockSchedule, int]]:
+    """Modulo-schedule ``nodes`` at the smallest II (up to ``max_ii``)
+    whose table fits them and closes every loop-carried dependence of
+    ``loops``; returns ``(schedule, II)``, or None if no II works."""
+    ids = set(nodes)
+    share = ctx.guards.mutually_exclusive
+    for ii in range(1, ctx.config.max_ii + 1):
+        table = ModuloTable(ii, ctx.rm.capacity_of, share=share)
+        try:
+            sched = schedule_acyclic(ctx.graph, nodes, ctx.rm, ctx.config,
+                                     table)
+        except ScheduleError:
+            continue
+        if all(_carried_ok(ctx, loop, ids, sched, ii) for loop in loops):
+            return sched, ii
+    return None
+
+
 def pipeline_loop(ctx: ScheduleContext,
                   loop: LoopRegion) -> Optional[PipelinedLoop]:
     """Attempt to software-pipeline ``loop``; None if not applicable."""
     nodes = flat_body_nodes(loop)
-    if nodes is None:
+    if not nodes:
         return None
-    ids = set(nodes)
-    if not ids:
+    found = modulo_schedule(ctx, nodes, [loop])
+    if found is None:
         return None
-    share = ctx.guards.mutually_exclusive
-    sched: Optional[BlockSchedule] = None
-    ii_found: Optional[int] = None
-    for ii in range(1, ctx.config.max_ii + 1):
-        table = ModuloTable(ii, ctx.rm.capacity_of, share=share)
-        try:
-            candidate = schedule_acyclic(ctx.graph, nodes, ctx.rm,
-                                         ctx.config, table,
-                                         horizon=4 * ctx.config.max_ii + 64)
-        except ScheduleError:
-            continue
-        if _carried_ok(ctx, loop, ids, candidate, ii):
-            sched, ii_found = candidate, ii
-            break
-    if sched is None or ii_found is None:
-        return None
-    frag = _emit(ctx, loop, ids, sched, ii_found)
-    return PipelinedLoop(frag, ii_found, sched.n_cycles)
+    sched, ii = found
+    frag = _emit(ctx, loop, set(nodes), sched, ii)
+    return PipelinedLoop(frag, ii, sched.n_cycles)
 
 
 def _emit(ctx: ScheduleContext, loop: LoopRegion, ids: Set[int],

@@ -6,11 +6,11 @@ Two flavors:
 * :class:`ModuloTable` — indexed by ``cycle mod II``, for software
   pipelining (the paper's implicit loop unrolling).
 
-Both support *guarded sharing*: two operations whose guards are mutually
-exclusive may occupy the same functional-unit instance in the same cycle
-(paper Section 1: functional pipelining "even across if constructs").
-A sharing predicate is injected so the tables stay independent of the
-guard analysis.
+The modulo table supports *guarded sharing*: two operations whose guards
+are mutually exclusive may occupy the same functional-unit instance in
+the same cycle (paper Section 1: functional pipelining "even across if
+constructs").  A sharing predicate is injected so the table stays
+independent of the guard analysis.
 """
 
 from __future__ import annotations
@@ -66,15 +66,12 @@ class LinearTable(_InstanceTable):
     Keeps a per-resource sorted free-list (strictly: a sorted list of
     *saturated* cycles — cycles where every instance is taken) so the
     list scheduler can skip over fully booked stretches instead of
-    probing them cycle by cycle.  With a sharing predicate installed a
-    saturated cycle may still admit a compatible op, so the skip is
-    only taken for plain (unshared) tables; placement results are
-    identical either way.
+    probing them cycle by cycle; placement results are identical to
+    the cycle-by-cycle scan.
     """
 
-    def __init__(self, capacity_of: Callable[[str], int],
-                 share: Optional[SharePredicate] = None) -> None:
-        super().__init__(capacity_of, share)
+    def __init__(self, capacity_of: Callable[[str], int]) -> None:
+        super().__init__(capacity_of)
         # resource -> sorted cycles at which every instance is in use
         self._saturated: Dict[str, List[int]] = {}
 
@@ -91,8 +88,7 @@ class LinearTable(_InstanceTable):
         for c in range(cycle, cycle + max(n_cycles, 1)):
             self._place_slot((c,), resource, nid)
             instances = self._table[((c,), resource)]
-            if (len(instances) >= self._capacity_of(resource)
-                    and self._share is None):
+            if len(instances) >= self._capacity_of(resource):
                 full = self._saturated.setdefault(resource, [])
                 i = bisect_left(full, c)
                 if i >= len(full) or full[i] != c:
@@ -102,12 +98,8 @@ class LinearTable(_InstanceTable):
         """Smallest cycle ``>= cycle`` whose slot is not saturated.
 
         Used by the scheduler's placement scan to jump over fully
-        booked cycles in one step.  With a sharing predicate the
-        saturation test is not definitive (a compatible op may still
-        fit), so the scan falls back to advancing one cycle at a time.
+        booked cycles in one step.
         """
-        if self._share is not None:
-            return cycle
         full = self._saturated.get(resource)
         if not full:
             return cycle

@@ -33,13 +33,6 @@ class TestLinearTable:
             assert not t.can_place(c, 1, "mt1", 2)
         assert t.can_place(3, 1, "mt1", 2)
 
-    def test_sharing_predicate_allows_mutex_ops(self):
-        t = LinearTable(lambda _n: 1, share=lambda a, b: True)
-        t.place(0, 1, "sb1", 1)
-        assert t.can_place(0, 1, "sb1", 2)
-        t.place(0, 1, "sb1", 2)
-        assert t.usage((0,), "sb1") == 1
-
     def test_no_sharing_without_predicate(self):
         t = LinearTable(lambda _n: 1)
         t.place(0, 1, "sb1", 1)
@@ -56,6 +49,13 @@ class TestModuloTable:
     def test_op_longer_than_ii_rejected(self):
         t = ModuloTable(2, lambda _n: 4)
         assert not t.can_place(0, 3, "mt1", 1)
+
+    def test_sharing_predicate_allows_mutex_ops(self):
+        t = ModuloTable(2, lambda _n: 1, share=lambda a, b: True)
+        t.place(0, 1, "sb1", 1)
+        assert t.can_place(2, 1, "sb1", 2)   # 2 mod 2 == 0
+        t.place(2, 1, "sb1", 2)
+        assert t.usage((0,), "sb1") == 1
 
     def test_bad_ii_rejected(self):
         with pytest.raises(ValueError):
