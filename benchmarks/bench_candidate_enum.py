@@ -11,8 +11,9 @@ the *identical* behavior sequence:
   fingerprint) and, for children the driver itself applied, LOCAL
   patterns carry cached matches forward and re-scan only their
   ``rescan_roots`` against the rewrite's dirty set;
-* **full** — ``incremental=False`` with a disabled memo: every request
-  re-runs every pattern's whole-behavior scan (the legacy
+* **full** — ``cache_size=0``: with no memo the driver never holds a
+  parent entry to carry matches from, so every request re-runs every
+  pattern's whole-behavior scan (the legacy
   ``TransformLibrary.candidates`` cost model).
 
 Requirements:
@@ -62,9 +63,8 @@ def run_campaign(name: str, generations: int, population: int
     — and therefore the comparison — is reproducible bit-for-bit.
     """
     behavior = circuit(name).behavior()
-    inc = RewriteDriver(default_library(), incremental=True)
-    full = RewriteDriver(default_library(), incremental=False,
-                         cache_size=0)
+    inc = RewriteDriver(default_library())
+    full = RewriteDriver(default_library(), cache_size=0)
     divergences = 0
     requests = 0
     seeds = [behavior]

@@ -71,10 +71,8 @@ class ReproConfig:
         ReproConfig(workers=4)                      # engine knob only
         ReproConfig(fact=FactConfig(vdd=3.3))       # full control
 
-    ``workers`` / ``cache_size`` / ``incremental``, when given,
-    override the evaluation engine knobs inside the search section
-    (``incremental=False`` disables region-level schedule memoization —
-    same results, no reuse; see ``docs/performance.md``).
+    ``workers`` / ``cache_size``, when given, override the evaluation
+    engine knobs inside the search section.
 
     ``trace`` attaches a :class:`~repro.obs.trace.Tracer`: the run
     records nested spans (compile / schedule / evaluate /
@@ -89,7 +87,6 @@ class ReproConfig:
     search: Optional[SearchConfig] = None
     workers: Optional[int] = None
     cache_size: Optional[int] = None
-    incremental: Optional[bool] = None
     trace: Optional[AnyTracer] = None
 
     def resolved(self) -> FactConfig:
@@ -104,8 +101,6 @@ class ReproConfig:
             updates["workers"] = self.workers
         if self.cache_size is not None:
             updates["cache_size"] = self.cache_size
-        if self.incremental is not None:
-            updates["incremental"] = self.incremental
         if updates:
             fact.search = replace(fact.search, **updates)
         return fact

@@ -204,9 +204,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         sched=SchedConfig(clock=args.clock),
         search=SearchConfig(max_outer_iters=args.iterations,
                             seed=args.seed,
-                            incremental=not args.no_incremental,
-                            incremental_enumeration=(
-                                not args.no_incremental_enum),
                             **_strategy_fields(args)),
         workers=args.workers)
     result = api.optimize(
@@ -241,9 +238,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from .explore import ExploreConfig
     search = _SearchConfig(max_outer_iters=args.iterations,
                            seed=args.seed, workers=args.workers,
-                           incremental=not args.no_incremental,
-                           incremental_enumeration=(
-                               not args.no_incremental_enum),
                            **_strategy_fields(args))
     config = ExploreConfig(
         generations=args.generations,
@@ -252,9 +246,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         seed=args.seed, workers=args.workers,
         warm_start=not args.no_warm_start,
         warm_start_transfer=args.warm_start_transfer,
-        sched=SchedConfig(clock=args.clock), search=search,
-        incremental=not args.no_incremental,
-        incremental_enumeration=not args.no_incremental_enum)
+        sched=SchedConfig(clock=args.clock), search=search)
     result = api.explore(
         behavior, config=config, alloc=args.alloc,
         profile_traces=args.profile_traces, store=args.store,
@@ -623,17 +615,6 @@ def _add_stats_arg(p: argparse.ArgumentParser) -> None:
                         "time, cache hit rate)")
 
 
-def _add_incremental_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable region-level schedule memoization "
-                        "(identical results, slower; the benchmark "
-                        "baseline)")
-    p.add_argument("--no-incremental-enum", action="store_true",
-                   help="disable incremental candidate enumeration "
-                        "(identical results, slower; the benchmark "
-                        "baseline)")
-
-
 def _add_explore_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", type=int, default=4,
                    help="exploration generations")
@@ -720,9 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   _add_trace_args)
     queue_parent = _make_parent(_add_store_arg, _add_queue_arg)
     explore_parent = _make_parent(_add_explore_args)
-    tuning_parent = _make_parent(_add_stats_arg,
-                                 _add_incremental_args,
-                                 _add_strategy_args)
+    tuning_parent = _make_parent(_add_stats_arg, _add_strategy_args)
 
     p = sub.add_parser("compile", help="parse and lower a BDL file",
                        parents=[trace_parent])

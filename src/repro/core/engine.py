@@ -147,27 +147,13 @@ class _EvalContext:
     sched_config: SchedConfig
     branch_probs: Optional[BranchProbs]
     objective: Objective
-    incremental: bool = True
-    region_cache_size: int = 4096
     traced: bool = False
 
-    def make_region_cache(self) -> Optional[RegionScheduleCache]:
-        """A region-schedule cache bound to this context.
-
-        ``incremental=False`` returns None: the scheduler then takes the
-        plain in-place walk with one full Markov solve per candidate —
-        the full-evaluation baseline this feature is measured against.
-        (A ``max_entries=0`` cache, which runs the build-and-splice path
-        without storing anything, is still available for equivalence
-        testing via :class:`~repro.sched.Scheduler` directly.)
-        """
-        if not self.incremental:
-            return None
-        return RegionScheduleCache(
-            max_entries=self.region_cache_size,
-            context_fp=context_fingerprint(
-                self.library, self.allocation, self.sched_config,
-                self.branch_probs))
+    def make_region_cache(self) -> RegionScheduleCache:
+        """A region-schedule cache bound to this context."""
+        return RegionScheduleCache(context_fp=context_fingerprint(
+            self.library, self.allocation, self.sched_config,
+            self.branch_probs))
 
 
 def context_fingerprint(library: Library, allocation: Allocation,
@@ -209,20 +195,18 @@ def _datapath_cost(behavior: Behavior, library: Library,
 
 
 def _score_one(ctx: _EvalContext, behavior: Behavior,
-               region_cache: Optional[RegionScheduleCache],
+               region_cache: RegionScheduleCache,
                tracer: AnyTracer = NULL_TRACER,
                key: Optional[str] = None
                ) -> Tuple[Optional[ScheduleResult], float, EvalStats]:
     """Schedule and score one behavior ((None, inf, ...) if
     unschedulable).  The returned :class:`EvalStats` is the per-candidate
     delta of the region cache's counters (picklable, so pool workers can
-    ship it home); with no cache (the full-evaluation baseline) it
-    records the candidate's full state count as built-from-scratch."""
+    ship it home)."""
     with tracer.span("evaluate", cache="miss") as span:
         if key is not None:
             span.set(candidate=key[:16])
-        before = region_cache.snapshot() \
-            if region_cache is not None else None
+        before = region_cache.snapshot()
         solve_before = _markov.solve_seconds()
         stats = EvalStats(scheduled=1)
         t0 = time.perf_counter()
@@ -239,21 +223,17 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
             span.set(unschedulable=type(err).__name__)
         stats.sched_time = time.perf_counter() - t0
         stats.numeric_seconds = _markov.solve_seconds() - solve_before
-        if region_cache is None or before is None:
-            if result is not None:
-                stats.states_built = len(result.stg.states)
-        else:
-            after = region_cache.snapshot()
-            (stats.region_hits, stats.region_requests, stats.markov_local,
-             stats.markov_reused, stats.markov_full, stats.solver_time,
-             stats.states_built, stats.states_reused,
-             stats.region_evictions) = (
-                after[0] - before[0],
-                (after[0] - before[0]) + (after[1] - before[1]),
-                after[2] - before[2], after[3] - before[3],
-                after[4] - before[4], after[5] - before[5],
-                after[6] - before[6], after[7] - before[7],
-                after[8] - before[8])
+        after = region_cache.snapshot()
+        (stats.region_hits, stats.region_requests, stats.markov_local,
+         stats.markov_reused, stats.markov_full, stats.solver_time,
+         stats.states_built, stats.states_reused,
+         stats.region_evictions) = (
+            after[0] - before[0],
+            (after[0] - before[0]) + (after[1] - before[1]),
+            after[2] - before[2], after[3] - before[3],
+            after[4] - before[4], after[5] - before[5],
+            after[6] - before[6], after[7] - before[7],
+            after[8] - before[8])
         # inf is not valid JSON; unschedulable candidates carry the
         # `unschedulable` attribute instead of a score.
         span.set(score=score if score != float("inf") else None,
@@ -286,7 +266,8 @@ def _eval_worker(behavior: Behavior
                  ) -> Tuple[Tuple[Optional[ScheduleResult], float,
                                   EvalStats],
                             Tuple[Dict[str, object], ...]]:
-    assert _WORKER_CTX is not None, "worker used before initialization"
+    assert _WORKER_CTX is not None and _WORKER_REGION_CACHE is not None, \
+        "worker used before initialization"
     scored = _score_one(_WORKER_CTX, behavior, _WORKER_REGION_CACHE,
                         _WORKER_TRACER)
     return scored, _WORKER_TRACER.drain_payload()
@@ -312,8 +293,6 @@ class EvaluationEngine:
                  branch_probs: Optional[BranchProbs] = None, *,
                  workers: Optional[int] = None,
                  cache_size: int = 4096,
-                 incremental: bool = True,
-                 region_cache_size: int = 4096,
                  region_cache: Optional[RegionScheduleCache] = None,
                  tracer: Optional[AnyTracer] = None
                  ) -> None:
@@ -322,8 +301,6 @@ class EvaluationEngine:
         self._ctx = _EvalContext(library, allocation,
                                  sched_config or SchedConfig(),
                                  branch_probs, objective,
-                                 incremental=incremental,
-                                 region_cache_size=region_cache_size,
                                  traced=bool(self.tracer.enabled))
         self.workers = resolve_workers(workers)
         self.cache = EvalCache(max_entries=cache_size)
@@ -332,7 +309,7 @@ class EvaluationEngine:
         #: deterministic, so the pair resolves a child's key without
         #: re-fingerprinting its graph (see _key_with_provenance).
         self._pair_keys = EvalCache(max_entries=cache_size)
-        if region_cache is not None and incremental:
+        if region_cache is not None:
             # Externally shared cache (e.g. the Fact driver's per-context
             # registry): unit schedules survive across engines — and
             # across whole searches — as long as the evaluation context
@@ -347,8 +324,7 @@ class EvaluationEngine:
                     "region_cache was built for a different evaluation "
                     "context (library/allocation/schedule-config/"
                     "branch-probs mismatch)")
-            self._region_cache: Optional[RegionScheduleCache] = \
-                region_cache
+            self._region_cache = region_cache
         else:
             self._region_cache = self._ctx.make_region_cache()
         #: aggregated incremental-evaluation counters (all backends)

@@ -155,17 +155,13 @@ class Fact:
 
     def _region_cache_for(self, allocation: Allocation,
                           branch_probs: Optional[BranchProbs]
-                          ) -> Optional[RegionScheduleCache]:
-        """The shared per-context cache (None when non-incremental)."""
-        if not self.config.search.incremental:
-            return None
+                          ) -> RegionScheduleCache:
+        """The shared per-context cache."""
         fp = context_fingerprint(self.library, allocation,
                                  self.config.sched, branch_probs)
         cache = self._region_caches.get(fp)
         if cache is None:
-            cache = RegionScheduleCache(
-                max_entries=self.config.search.region_cache_size,
-                context_fp=fp)
+            cache = RegionScheduleCache(context_fp=fp)
             self._region_caches[fp] = cache
         return cache
 

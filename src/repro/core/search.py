@@ -122,15 +122,6 @@ class SearchConfig:
     evaluation backend (0/1 serial, >= 2 a process pool; ``None`` defers
     to the ``REPRO_WORKERS`` environment variable); ``cache_size``
     bounds the evaluation memoization cache (0 disables it).
-    ``incremental`` toggles region-level schedule memoization — both
-    modes produce identical results (``--no-incremental`` on the CLI is
-    the escape hatch / benchmark baseline); ``region_cache_size``
-    bounds the per-process region schedule cache.
-    ``incremental_enumeration`` toggles the rewrite driver's
-    footprint-based incremental candidate enumeration (again with
-    identical results either way — ``--no-incremental-enum`` is the
-    benchmark baseline); ``enum_cache_size`` bounds its per-behavior
-    enumeration memo.
 
     ``strategy`` selects the search strategy (``"greedy"``, ``"macro"``
     or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md);
@@ -153,10 +144,6 @@ class SearchConfig:
     seed: int = 0
     workers: Optional[int] = None
     cache_size: int = 4096
-    incremental: bool = True
-    region_cache_size: int = 4096
-    incremental_enumeration: bool = True
-    enum_cache_size: int = 512
     strategy: str = "greedy"
     macro_depth: int = 2
     macro_limit: int = 8
@@ -245,11 +232,7 @@ class TransformSearch:
         #: rewrite driver owning candidate enumeration: memoized per
         #: behavior (raw fingerprint) and incremental for children it
         #: applied.  Shared across runs of this search.
-        self.driver = RewriteDriver(
-            transforms,
-            incremental=self.config.incremental_enumeration,
-            cache_size=self.config.enum_cache_size,
-            tracer=self.tracer)
+        self.driver = RewriteDriver(transforms, tracer=self.tracer)
         self._shared_engine: Optional[EvaluationEngine] = None
         self._fresh_from: Optional[int] = None
 
@@ -261,8 +244,6 @@ class TransformSearch:
             branch_probs=self.branch_probs,
             workers=self.config.workers,
             cache_size=self.config.cache_size,
-            incremental=self.config.incremental,
-            region_cache_size=self.config.region_cache_size,
             region_cache=self.region_cache,
             tracer=self.tracer)
 

@@ -101,8 +101,6 @@ class ExploreConfig:
     vdd: float = 5.0
     vt: float = 1.0
     cycle_time: float = 1.0
-    incremental: bool = True
-    incremental_enumeration: bool = True
     #: seed the initial population from the nearest prior run's front
     #: in the store's transfer index (``--warm-start`` on the CLI;
     #: docs/search.md).  Fronts are *recorded* unconditionally at every
@@ -117,25 +115,18 @@ class ExploreConfig:
             return self.search
         return SearchConfig(
             seed=self.seed, workers=self.workers,
-            cache_size=self.cache_size,
-            incremental=self.incremental,
-            incremental_enumeration=self.incremental_enumeration)
+            cache_size=self.cache_size)
 
     def identity(self) -> Tuple:
         """Everything that shapes the search trajectory (for the run
         fingerprint; ``generations`` is deliberately excluded so a
         finished run can be extended by resuming with a higher cap).
-        ``incremental`` / ``incremental_enumeration`` and the cache
-        sizes are normalized out: all evaluation and enumeration modes
-        produce identical trajectories by construction, so a run
-        checkpointed in one mode can resume in the other."""
+        The worker count is normalized out: every backend produces the
+        identical trajectory, so a run checkpointed under one worker
+        count can resume under another."""
         return (self.population_size, self.max_candidates_per_seed,
                 self.seed, self.warm_start,
-                astuple(replace(self.warm_start_search(),
-                                incremental=True,
-                                region_cache_size=4096,
-                                incremental_enumeration=True,
-                                enum_cache_size=512)),
+                astuple(replace(self.warm_start_search(), workers=None)),
                 self.vdd, self.vt, self.cycle_time,
                 tuple(self.warm_start_objectives),
                 self.warm_start_transfer, self.transfer_seeds)
@@ -179,11 +170,7 @@ class ExploreRunner:
         #: rewrite driver owning candidate enumeration for the main
         #: loop (memoized per behavior, incremental for its children);
         #: shared across generations and across resume.
-        self.driver = RewriteDriver(
-            self.transforms,
-            incremental=self.config.incremental_enumeration,
-            cache_size=self.config.warm_start_search().enum_cache_size,
-            tracer=self.tracer)
+        self.driver = RewriteDriver(self.transforms, tracer=self.tracer)
         self.run_fingerprint = _digest(
             (self._context_fp + "|"
              + repr(self.config.identity())).encode()).hexdigest()
@@ -205,10 +192,7 @@ class ExploreRunner:
         """The shared region-schedule cache of this runner's context."""
         cache = self._region_caches.get(self._context_fp)
         if cache is None:
-            cache = RegionScheduleCache(
-                max_entries=self.config.warm_start_search()
-                .region_cache_size,
-                context_fp=self._context_fp)
+            cache = RegionScheduleCache(context_fp=self._context_fp)
             self._region_caches[self._context_fp] = cache
         return cache
 
@@ -227,13 +211,11 @@ class ExploreRunner:
         (resumable from the checkpoint).
         """
         cfg = self.config
-        region_cache = self._region_cache() if cfg.incremental else None
         engine = EvaluationEngine(
             self.library, self.allocation, Objective(THROUGHPUT),
             sched_config=cfg.sched, branch_probs=self.branch_probs,
             workers=cfg.workers, cache_size=cfg.cache_size,
-            incremental=cfg.incremental, region_cache=region_cache,
-            tracer=self.tracer)
+            region_cache=self._region_cache(), tracer=self.tracer)
         telemetry = ExploreTelemetry(backend=engine.backend,
                                      workers=max(engine.workers, 1),
                                      store=self.store.stats,

@@ -20,14 +20,13 @@ interp-stg         interpreter semantics vs. scheduled-STG statistics:
 enum-parity        legacy ``TransformLibrary.candidates`` scan vs.
                    ``RewriteDriver`` (incremental) enumeration — same
                    canonically-ordered candidate set, also after an
-                   apply step re-enumerates incrementally
+                   apply step re-enumerates incrementally (against a
+                   ``cache_size=0`` driver, which always scans in full)
 rewrite-semantics  every applied candidate preserves interpreter
                    semantics (outputs + final memory) on shared traces
-sched-incremental  region-cache (splice) scheduling is bit-identical to
-                   the cache-off splice baseline — same states, labels,
-                   ops, transitions and average length, cold and warm —
-                   and structurally identical to the plain walk (whose
-                   average may drift by float associativity only)
+sched-incremental  a fresh scheduler and a shared region cache, cold
+                   and then warm, schedule bit-identically — same
+                   states, labels, ops, transitions and average length
 engine-backend     serial vs. process-pool evaluation engines score the
                    behavior identically
 search-parity      the strategy layer's default ``greedy`` strategy
@@ -160,7 +159,7 @@ class OracleContext:
         return self._profile.branch_probs  # type: ignore[attr-defined]
 
     def schedule(self) -> ScheduleResult:
-        """Reference schedule: plain walk, no region cache."""
+        """Reference schedule from a fresh scheduler (private cache)."""
         if self._schedule is None:
             self._schedule = Scheduler(
                 self.behavior, self.hw_library, self.allocation,
@@ -244,8 +243,7 @@ def oracle_enum_parity(ctx: OracleContext) -> Optional[str]:
         except ReproError:
             continue
         incremental = driver.candidates(child)
-        fresh = RewriteDriver(library,
-                              incremental=False).candidates(child)
+        fresh = RewriteDriver(library, cache_size=0).candidates(child)
         if _candidate_signature(incremental) != \
                 _candidate_signature(fresh):
             return (f"after applying {cand.description!r}: incremental "
@@ -306,50 +304,30 @@ def _stg_signature(sched: ScheduleResult) -> Tuple:
     return (stg.entry, stg.exit, states, transitions)
 
 
-#: Relative slack for the plain-walk vs. splice-path average length.
-#: The two assemble the same visit vector in different summation
-#: orders, so only float associativity separates them (the repo's
-#: bit-identity claim is *within* the splice path, cache on vs. off).
-PLAIN_REL_TOL = 1e-9
-
-
 def oracle_sched_incremental(ctx: OracleContext) -> Optional[str]:
-    """Region-cache scheduling is bit-identical to the cache-off
-    splice baseline (cold and warm), and structurally identical to the
-    plain walk."""
-    plain = ctx.try_schedule()
-    if plain is None:
+    """A shared region cache, cold and then warm, schedules exactly
+    like a fresh scheduler (which keeps a private cache)."""
+    fresh = ctx.try_schedule()
+    if fresh is None:
         return None  # path explosion: agreed capacity limit, skip
     probs = ctx.branch_probs()
     fp = context_fingerprint(ctx.hw_library, ctx.allocation,
                              ctx.sched_config, probs)
-
-    def splice(cache: RegionScheduleCache) -> ScheduleResult:
-        return Scheduler(ctx.behavior, ctx.hw_library, ctx.allocation,
-                         ctx.sched_config, probs,
-                         region_cache=cache).schedule()
-
-    baseline = splice(RegionScheduleCache(max_entries=0, context_fp=fp))
-    base_sig = _stg_signature(baseline)
-    base_len = baseline.average_length()
-    if _stg_signature(plain) != base_sig:
-        return (f"splice-path STG differs from plain walk "
-                f"({baseline.n_states()} vs. {plain.n_states()} states)")
-    plain_len = plain.average_length()
-    if abs(plain_len - base_len) > PLAIN_REL_TOL * max(1.0, base_len):
-        return (f"splice-path average length {base_len!r} drifts from "
-                f"plain walk {plain_len!r} beyond float tolerance")
-    cache = RegionScheduleCache(max_entries=4096, context_fp=fp)
+    fresh_sig = _stg_signature(fresh)
+    fresh_len = fresh.average_length()
+    cache = RegionScheduleCache(context_fp=fp)
     for attempt in ("cold", "warm"):
-        cached = splice(cache)
-        if _stg_signature(cached) != base_sig:
-            return (f"{attempt} region-cache STG differs from the "
-                    f"cache-off baseline ({cached.n_states()} vs. "
-                    f"{baseline.n_states()} states)")
-        got_len = cached.average_length()
-        if got_len != base_len:
-            return (f"{attempt} region-cache average length {got_len!r}"
-                    f" != cache-off baseline {base_len!r}")
+        shared = Scheduler(ctx.behavior, ctx.hw_library, ctx.allocation,
+                           ctx.sched_config, probs,
+                           region_cache=cache).schedule()
+        if _stg_signature(shared) != fresh_sig:
+            return (f"{attempt} shared-cache STG differs from a fresh "
+                    f"scheduler's ({shared.n_states()} vs. "
+                    f"{fresh.n_states()} states)")
+        got_len = shared.average_length()
+        if got_len != fresh_len:
+            return (f"{attempt} shared-cache average length {got_len!r}"
+                    f" != fresh scheduler's {fresh_len!r}")
     return None
 
 

@@ -109,13 +109,18 @@ class _Entry:
 
 
 class RewriteDriver:
-    """Memoizing, incremental candidate enumerator over a library."""
+    """Memoizing, incremental candidate enumerator over a library.
+
+    ``cache_size`` bounds the per-behavior memo.  Incremental carry
+    reads the parent's entry from that memo, so a ``cache_size=0``
+    driver runs a full scan on every request — the reference the
+    enumeration parity checks compare against.
+    """
 
     def __init__(self, library: "TransformLibrary", *,
-                 incremental: bool = True, cache_size: int = 512,
+                 cache_size: int = 512,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.library = library
-        self.incremental = incremental
         self.stats = RewriteStats()
         self._cache = EvalCache(max_entries=cache_size)
         self._tracer = tracer
@@ -246,8 +251,6 @@ class RewriteDriver:
                       structure_key: Tuple
                       ) -> Tuple[Optional[_Entry], FrozenSet[int]]:
         """The cached parent entry, when incremental carry is legal."""
-        if not self.incremental:
-            return None, frozenset()
         provenance = getattr(behavior, "_rw_parent", None)
         if provenance is None:
             return None, frozenset()

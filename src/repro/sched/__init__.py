@@ -12,7 +12,7 @@ from .branching import ScheduleContext, block_fragment
 from .concurrent import concurrent_fragment, expected_iterations, independent
 from .driver import ScheduleResult, Scheduler, schedule_behavior
 from .fragments import Frag, compose, connect, single_entry
-from .loops import loop_fragment, sequential_loop
+from .loops import sequential_loop
 from .pipeline import PipelinedLoop, continue_probability, pipeline_loop
 from .regioncache import (CachedFragment, RegionScheduleCache, splice,
                           unit_key)
@@ -27,7 +27,7 @@ __all__ = [
     "ScheduleContext", "ScheduleResult", "Scheduler", "block_fragment",
     "compose", "compute_priorities", "concurrent_fragment", "connect",
     "continue_probability", "expected_iterations", "independent",
-    "loop_fragment", "pipeline_loop", "prob_true", "schedule_acyclic",
+    "pipeline_loop", "prob_true", "schedule_acyclic",
     "schedule_behavior", "sequential_loop", "single_entry", "splice",
     "unit_key",
 ]

@@ -67,21 +67,19 @@ def expected_iterations(ctx: ScheduleContext, loop: LoopRegion) -> float:
 
 
 def concurrent_fragment(ctx: ScheduleContext,
-                        loops: List[LoopRegion],
-                        cache=None,
-                        behavior: Optional[Behavior] = None
-                        ) -> Optional[Frag]:
+                        loops: List[LoopRegion], cache,
+                        behavior: Behavior) -> Optional[Frag]:
     """Co-schedule independent loops into phase kernels.
 
     Returns ``None`` when any loop is not pipelineable (nested loops in
     its body) or a phase cannot be scheduled.
 
-    When a :class:`~repro.sched.regioncache.RegionScheduleCache` (and
-    the owning ``behavior``) is supplied, each phase kernel is memoized
-    individually: phases are the reusable grain of a concurrent run — a
-    transformation touching one loop leaves every phase that does not
-    contain it byte-identical, so those kernels are spliced from the
-    cache instead of re-running the modulo scheduler.
+    Each phase kernel is memoized individually in ``cache`` (a
+    :class:`~repro.sched.regioncache.RegionScheduleCache`, keyed over
+    the owning ``behavior``): phases are the reusable grain of a
+    concurrent run — a transformation touching one loop leaves every
+    phase that does not contain it byte-identical, so those kernels are
+    spliced from the cache instead of re-running the modulo scheduler.
     """
     node_sets: List[Set[int]] = []
     for loop in loops:
@@ -124,7 +122,7 @@ def concurrent_fragment(ctx: ScheduleContext,
 
 def _phase_fragment(ctx: ScheduleContext, loops: List[LoopRegion],
                     active: List[int], union: Set[int], passes: float,
-                    label: str, cache, behavior: Optional[Behavior]
+                    label: str, cache, behavior: Behavior
                     ) -> Optional[Frag]:
     """``_phase_kernel`` through the region cache.
 
@@ -132,12 +130,8 @@ def _phase_fragment(ctx: ScheduleContext, loops: List[LoopRegion],
     ``passes`` — the pass count is derived from the iteration count of
     the loop that *dropped out before* this phase, which is not part of
     the active suffix, so it must enter the key explicitly.  A phase
-    that could not be scheduled is remembered as failed.  With no cache
-    (or the ``max_entries=0`` baseline) the kernel is built in place,
-    bit-identically.
+    that could not be scheduled is remembered as failed.
     """
-    if cache is None or cache.max_entries <= 0 or behavior is None:
-        return _phase_kernel(ctx, loops, active, union, passes, label)
     # Runtime import: regioncache pulls in .fragments at module scope,
     # keep this edge lazy for symmetry with the driver's wiring.
     from .regioncache import CachedFragment, splice

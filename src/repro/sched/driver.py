@@ -13,16 +13,15 @@ This provides the paper's scheduler interface (their reference [13],
 Wavesched): loop unrolling, functional pipelining across ``if``
 constructs, and concurrent loop optimization, all behind one call.
 
-With a :class:`~repro.sched.regioncache.RegionScheduleCache` attached,
-every schedulable *unit* (a block, a loop, or a run of independent
-adjacent loops) is built into a private scratch STG and spliced into
+Every schedulable *unit* (a block, a loop, or a run of independent
+adjacent loops) is built into a private scratch STG through a
+:class:`~repro.sched.regioncache.RegionScheduleCache` and spliced into
 the target, keyed by its exact content — so a candidate that differs
 from its parent in one block reuses every other unit's schedule
 verbatim, and the Markov analysis is assembled from memoized
-per-fragment solves (see ``docs/performance.md``).  The spliced STG is
-identical — state ids, labels, transition order — to the one the plain
-in-place walk produces, which is what makes the incremental and
-non-incremental evaluation paths bit-compatible.
+per-fragment solves (see ``docs/performance.md``).  Splicing preserves
+state-creation and transition order, so a warm cache and a cold one
+assemble identical STGs — state ids, labels, transition order.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from ..stg.model import Stg
 from .branching import ScheduleContext, block_fragment
 from .concurrent import concurrent_fragment, independent
 from .fragments import Frag, compose, connect, single_entry
-from .loops import (_cond_count, _pipelined_or_none, loop_fragment,
-                    sequential_loop)
+from .loops import _cond_count, _pipelined_or_none, sequential_loop
 from .regioncache import CachedFragment, RegionScheduleCache, splice
 from .types import BranchProbs, ResourceModel, SchedConfig
 
@@ -58,9 +56,9 @@ class ScheduleResult:
     allocation: Allocation
     config: SchedConfig
     branch_probs: Optional[BranchProbs] = None
-    #: Expected visits per state, memoized; pre-filled by the incremental
-    #: scheduler from per-fragment solves (splicing), computed on demand
-    #: from the full chain otherwise.
+    #: Expected visits per state, memoized; pre-filled by the scheduler
+    #: from per-fragment solves (splicing), computed on demand from the
+    #: full chain for results built any other way.
     visits: Optional[Dict[int, float]] = field(
         default=None, repr=False, compare=False)
 
@@ -92,13 +90,13 @@ class Scheduler:
     """Schedules a behavior under a library / allocation / clock.
 
     Args:
-        region_cache: optional unit-schedule memo.  When given, every
-            schedulable unit is built scratch-and-spliced through it and
-            the result's visit totals come from per-fragment Markov
-            solves.  The cache must have been created for this exact
-            evaluation context (see ``RegionScheduleCache.context_fp``);
-            pass a ``max_entries=0`` cache for the non-incremental
-            baseline that still shares the identical code path.
+        region_cache: the unit-schedule memo every schedulable unit is
+            built and spliced through; the result's visit totals come
+            from its per-fragment Markov solves.  Pass one to share
+            units across schedulers of the same evaluation context (it
+            must have been created for exactly that context, see
+            ``RegionScheduleCache.context_fp``); when omitted the
+            scheduler keeps a private one.
         tracer: optional :class:`~repro.obs.trace.Tracer`.  The run is
             wrapped in a ``schedule`` span (with a ``markov_fallback``
             attribute when the spliced-visit assembly falls back to a
@@ -118,7 +116,8 @@ class Scheduler:
         self.allocation = allocation
         self.config = config or SchedConfig()
         self.branch_probs = branch_probs
-        self.region_cache = region_cache
+        self.region_cache = region_cache if region_cache is not None \
+            else RegionScheduleCache()
         self.tracer: AnyTracer = tracer if tracer is not None \
             else NULL_TRACER
         self._main_stg: Optional[Stg] = None
@@ -136,8 +135,7 @@ class Scheduler:
         with self.tracer.span("schedule",
                               behavior=self.behavior.name) as span:
             result = self._schedule(span)
-            span.set(states=len(result.stg.states),
-                     incremental=self.region_cache is not None)
+            span.set(states=len(result.stg.states))
             return result
 
     def _schedule(self, span) -> ScheduleResult:
@@ -171,40 +169,28 @@ class Scheduler:
         stg.validate()
         result = ScheduleResult(stg, behavior, self.library, self.allocation,
                                 self.config, self.branch_probs)
-        if self.region_cache is not None:
-            result.visits = self._spliced_visits(stg, once, span)
+        result.visits = self._spliced_visits(stg, once, span)
         return result
 
     # ------------------------------------------------------------------
     def _region(self, ctx: ScheduleContext, region: Region) -> Frag:
         if isinstance(region, SeqRegion):
             return self._sequence(ctx, region.children)
-        if self.region_cache is not None:
-            return self._memoized(ctx, [region])
-        if isinstance(region, BlockRegion):
-            return block_fragment(ctx, region.nodes)
-        if isinstance(region, LoopRegion):
-            return loop_fragment(ctx, region, self._region)
-        raise ScheduleError(f"unknown region {type(region).__name__}")
+        return self._memoized(ctx, [region])
 
     def _sequence(self, ctx: ScheduleContext,
                   children: List[Region]) -> Frag:
         frags: List[Frag] = []
         i = 0
         while i < len(children):
-            child = children[i]
             run = self._independent_loop_run(ctx, children, i)
             if len(run) >= 2:
                 # A run is one schedulable unit: its concurrent-vs-
                 # sequential decision depends on every loop in it.
-                if self.region_cache is not None:
-                    frag = self._memoized(ctx, run)
-                else:
-                    frag = self._best_loop_composition(ctx, run)
-                frags.append(frag)
+                frags.append(self._memoized(ctx, run))
                 i += len(run)
                 continue
-            frags.append(self._region(ctx, child))
+            frags.append(self._region(ctx, children[i]))
             i += 1
         return compose(ctx.stg, frags)
 
@@ -223,43 +209,22 @@ class Scheduler:
             run.append(child)
         return run
 
-    def _loop(self, ctx: ScheduleContext, loop: LoopRegion) -> Frag:
-        """One loop, routed through the cache when one is attached."""
-        if self.region_cache is not None:
-            return self._memoized(ctx, [loop])
-        return loop_fragment(ctx, loop, self._region)
-
     def _best_loop_composition(self, ctx: ScheduleContext,
                                run: List[LoopRegion]) -> Frag:
         """Concurrent phases vs back-to-back loops: keep the shorter."""
-        if self.region_cache is not None:
-            conc = self._variant(
-                ctx, list(run), "conc",
-                lambda c: concurrent_fragment(
-                    c, run, cache=self.region_cache,
-                    behavior=self.behavior))
-            conc_len = self._variant_len(conc)
-            seq_len = self._measure(
-                ctx, lambda c: compose(
-                    c.stg, [self._loop(c, lp) for lp in run]))
-            if conc_len is not None and (seq_len is None
-                                         or conc_len < seq_len):
-                frag, _ = splice(ctx.stg, conc)
-                return frag
-            return compose(
-                ctx.stg, [self._loop(ctx, lp) for lp in run])
-        conc_len = self._measure(
-            ctx, lambda c: concurrent_fragment(c, run))
+        conc = self._variant(
+            ctx, list(run), "conc",
+            lambda c: concurrent_fragment(c, run, self.region_cache,
+                                          self.behavior))
+        conc_len = self._variant_len(conc)
         seq_len = self._measure(
             ctx, lambda c: compose(
-                c.stg, [self._loop(c, lp) for lp in run]))
+                c.stg, [self._memoized(c, [lp]) for lp in run]))
         if conc_len is not None and (seq_len is None
                                      or conc_len < seq_len):
-            frag = concurrent_fragment(ctx, run)
-            assert frag is not None
+            frag, _ = splice(ctx.stg, conc)
             return frag
-        return compose(
-            ctx.stg, [self._loop(ctx, lp) for lp in run])
+        return compose(ctx.stg, [self._memoized(ctx, [lp]) for lp in run])
 
     @staticmethod
     def _measure(ctx: ScheduleContext,
@@ -284,23 +249,14 @@ class Scheduler:
         scratch.entry, scratch.exit = entry, exit_
         return average_schedule_length(scratch)
 
-    # -- incremental path ----------------------------------------------
+    # -- units and variants --------------------------------------------
     def _memoized(self, ctx: ScheduleContext,
                   regions: Sequence[Region]) -> Frag:
         """Build-or-fetch one schedulable unit and splice it into
         ``ctx.stg``."""
         cache = self.region_cache
-        assert cache is not None
-        if cache.max_entries > 0:
-            key: Optional[str] = cache.key_for(self.behavior, regions,
-                                               ctx.guards)
-            cached = cache.get(key)
-        else:
-            # Non-incremental baseline: skip the (pure-overhead) key
-            # computation entirely; still count the build as a miss.
-            key = None
-            cached = None
-            cache.stats.misses += 1
+        key = cache.key_for(self.behavior, regions, ctx.guards)
+        cached = cache.get(key)
         if cached is None:
             scratch = Stg(f"{self.behavior.name}:unit")
             built0, reused0 = cache.states_built, cache.states_reused
@@ -313,8 +269,7 @@ class Scheduler:
             nested = (cache.states_built - built0
                       + cache.states_reused - reused0)
             cache.states_built += max(0, len(scratch) - nested)
-            if key is not None:
-                cache.put(key, cached)
+            cache.put(key, cached)
         else:
             cache.states_reused += len(cached.stg)
         out_frag, idmap = splice(ctx.stg, cached)
@@ -336,23 +291,21 @@ class Scheduler:
         return self._best_loop_composition(ctx, list(regions))
 
     def _loop_unit(self, ctx: ScheduleContext, loop: LoopRegion) -> Frag:
-        """Cached replica of :func:`loop_fragment`.
+        """One loop: the better of its sequential / pipelined schedules.
 
-        The sequential / pipelined variants are built (at most) once
-        each through the cache and the winner is spliced, where the
-        plain walk builds the winner a second time after measuring it.
-        The decision sequence — build pipelined, measure, count
-        conditions, build sequential, measure, compare — mirrors
-        ``loop_fragment`` exactly, so the chosen variant (and any
-        propagated ScheduleError / MarkovError) is identical.
+        Each variant is built (at most) once through the cache, measured
+        and the winner spliced.  Bodies with many conditionals are
+        scheduled predicated-pipelined whenever possible: their
+        sequential (branching-state) schedule is exponential in the
+        number of conditions and only worth building for small bodies.
         """
         if not ctx.config.allow_pipelining:
             seq = self._variant(
                 ctx, [loop], "seq",
                 lambda c: sequential_loop(c, loop, self._region))
             if seq.build_failed:
-                # Rebuild in place to raise the same ScheduleError the
-                # plain walk would.
+                # Rebuild in place to raise the build's ScheduleError
+                # (a failed variant is cached without it).
                 return sequential_loop(ctx, loop, self._region)
             frag, _ = splice(ctx.stg, seq)
             return frag
@@ -387,15 +340,9 @@ class Scheduler:
         retried.
         """
         cache = self.region_cache
-        assert cache is not None
-        if cache.max_entries > 0:
-            key: Optional[str] = cache.key_for(self.behavior, regions,
-                                               ctx.guards, variant=kind)
-            cached = cache.get(key)
-        else:
-            key = None
-            cached = None
-            cache.stats.misses += 1
+        key = cache.key_for(self.behavior, regions, ctx.guards,
+                            variant=kind)
+        cached = cache.get(key)
         if cached is not None:
             if not cached.build_failed:
                 cache.states_reused += len(cached.stg)
@@ -414,8 +361,7 @@ class Scheduler:
             nested = (cache.states_built - built0
                       + cache.states_reused - reused0)
             cache.states_built += max(0, len(scratch) - nested)
-        if key is not None:
-            cache.put(key, cached)
+        cache.put(key, cached)
         return cached
 
     def _variant_len(self, cached: CachedFragment) -> Optional[float]:
@@ -438,13 +384,11 @@ class Scheduler:
             connect(scratch, [(entry, 1.0, "")], frag.entries)
             connect(scratch, frag.exits, [(exit_, 1.0, "")])
         scratch.entry, scratch.exit = entry, exit_
-        cache = self.region_cache
-        assert cache is not None
         t0 = time.perf_counter()
         try:
             return average_schedule_length(scratch)
         finally:
-            cache.solver_time += time.perf_counter() - t0
+            self.region_cache.solver_time += time.perf_counter() - t0
 
     def _spliced_visits(self, stg: Stg, once: List[int],
                         span=None) -> Dict[int, float]:
@@ -455,11 +399,10 @@ class Scheduler:
         totals — solved once, in isolation, under its entry-port weights
         — are exact wherever the fragment is spliced.  Falls back to one
         full-chain solve if any fragment's sub-chain is singular or the
-        fragments do not tile the STG (both content-dependent, so the
-        fallback decision is identical across cache modes).
+        fragments do not tile the STG (both content-dependent, so a warm
+        and a cold cache fall back alike).
         """
         cache = self.region_cache
-        assert cache is not None
         visits: Dict[int, float] = {}
         ok = True
         for cached, idmap in self._pieces:
@@ -475,8 +418,8 @@ class Scheduler:
             if len(visits) == len(stg.states):
                 # Iteration order must match expected_visits() (transient
                 # states by id, exit last): downstream sums over
-                # .values() are float-order sensitive, and both
-                # evaluation paths must produce bit-identical metrics.
+                # .values() are float-order sensitive, so spliced and
+                # fallback visits must sum alike.
                 ordered = {sid: visits[sid] for sid in sorted(visits)
                            if sid != stg.exit}
                 ordered[stg.exit] = visits[stg.exit]
@@ -484,7 +427,7 @@ class Scheduler:
         if span is not None:
             # Singular sub-chain or non-tiling fragments: the whole
             # chain is re-solved (see docs/observability.md on why a
-            # high fallback count hurts incremental evaluation).
+            # high fallback count hurts evaluation cost).
             span.set(markov_fallback=True)
         t0 = time.perf_counter()
         try:

@@ -3,22 +3,20 @@
 Every loop can be scheduled *sequentially*: the condition section is a
 block fragment, branching into the body fragment (which loops back) or
 out of the loop.  When the body is pipelineable
-(:mod:`repro.sched.pipeline`), both variants are built into scratch STGs
-and the one with the smaller expected schedule length is kept — this is
-how the scheduler realizes the paper's implicit loop unrolling only when
-it actually pays off.
+(:mod:`repro.sched.pipeline`), the driver
+(:meth:`repro.sched.driver.Scheduler._loop_unit`) builds both variants
+into scratch STGs and keeps the one with the smaller expected schedule
+length — this is how the scheduler realizes the paper's implicit loop
+unrolling only when it actually pays off.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..cdfg.regions import BlockRegion, LoopRegion, Region, SeqRegion
-from ..errors import ScheduleError
-from ..stg.markov import average_schedule_length
-from ..stg.model import Stg
+from ..cdfg.regions import LoopRegion, Region
 from .branching import ScheduleContext, block_fragment
-from .fragments import Frag, Port, compose, connect, single_entry
+from .fragments import Frag, Port, connect, single_entry
 from .pipeline import continue_probability, pipeline_loop
 
 #: Builds a region fragment; injected by the driver to avoid a cycle.
@@ -53,30 +51,6 @@ def sequential_loop(ctx: ScheduleContext, loop: LoopRegion,
     return Frag(cond_frag.entries, exits)
 
 
-def loop_fragment(ctx: ScheduleContext, loop: LoopRegion,
-                  region_fn: RegionScheduler) -> Frag:
-    """Schedule a loop, choosing the better of sequential / pipelined.
-
-    Bodies with many conditionals are scheduled predicated-pipelined
-    whenever possible: their sequential (branching-state) schedule is
-    exponential in the number of conditions and only worth building for
-    small bodies.
-    """
-    if not ctx.config.allow_pipelining:
-        return sequential_loop(ctx, loop, region_fn)
-    pipe_len = _measure(ctx, lambda c: _pipelined_or_none(c, loop))
-    if pipe_len is not None and _cond_count(ctx, loop) > 8:
-        pipelined = pipeline_loop(ctx, loop)
-        assert pipelined is not None
-        return pipelined.frag
-    seq_len = _measure(ctx, lambda c: sequential_loop(c, loop, region_fn))
-    if pipe_len is not None and (seq_len is None or pipe_len < seq_len):
-        pipelined = pipeline_loop(ctx, loop)
-        assert pipelined is not None
-        return pipelined.frag
-    return sequential_loop(ctx, loop, region_fn)
-
-
 def _cond_count(ctx: ScheduleContext, loop: LoopRegion) -> int:
     """Distinct condition sources guarding operations in the body."""
     conds = set()
@@ -91,25 +65,3 @@ def _pipelined_or_none(ctx: ScheduleContext,
     result = pipeline_loop(ctx, loop)
     return result.frag if result is not None else None
 
-
-def _measure(ctx: ScheduleContext,
-             build: Callable[[ScheduleContext], Optional[Frag]]
-             ) -> Optional[float]:
-    """Expected cycles of a fragment, built into a scratch STG."""
-    scratch = Stg("scratch")
-    sub = ctx.with_stg(scratch)
-    try:
-        frag = build(sub)
-    except ScheduleError:
-        return None
-    if frag is None:
-        return None
-    entry = scratch.add_state(label="in")
-    exit_ = scratch.add_state(label="out")
-    if frag.is_empty:
-        scratch.add_transition(entry, exit_, 1.0)
-    else:
-        connect(scratch, [(entry, 1.0, "")], frag.entries)
-        connect(scratch, frag.exits, [(exit_, 1.0, "")])
-    scratch.entry, scratch.exit = entry, exit_
-    return average_schedule_length(scratch)

@@ -1,4 +1,4 @@
-"""Region-level schedule memoization for incremental candidate evaluation.
+"""Region-level schedule memoization for candidate evaluation.
 
 The FACT inner loop (paper Figure 6) evaluates hundreds of candidates
 per generation, and most of Section 3's transformations are local: a
@@ -21,8 +21,9 @@ cost proportional to *what changed*:
   STG holding the region's states, the weighted entry/exit ports, and
   (memoized) the expected-visit totals of its internal sub-chain.
 * :func:`splice` — copy a cached fragment into a target STG, preserving
-  state-creation and transition order, so the assembled STG is
-  *identical* (ids, labels, transition list) to a from-scratch build.
+  state-creation and transition order, so an STG assembled from reused
+  fragments is *identical* (ids, labels, transition list) to one
+  assembled from freshly built ones.
 * :class:`RegionScheduleCache` — a bounded LRU over all of the above
   with ``CacheStats`` hit/miss/eviction counters plus Markov-solver
   bookkeeping (local solves, reuses, full-solve fallbacks, time).
@@ -189,10 +190,8 @@ def splice(target: Stg, cached: CachedFragment
 class RegionScheduleCache:
     """Bounded LRU from unit keys to :class:`CachedFragment` entries.
 
-    ``max_entries=0`` disables storage: every lookup misses, nothing is
-    kept, and unit keys are not even computed — this is the
-    non-incremental baseline, which still runs the exact same
-    build-and-splice path so both modes produce identical schedules.
+    Every :class:`~repro.sched.driver.Scheduler` schedules through one;
+    ``max_entries`` bounds how many entries it keeps.
 
     Counters: ``stats`` (a :class:`~repro.core.evalcache.CacheStats`)
     tracks unit lookups; ``markov_local`` / ``markov_reused`` /
@@ -218,10 +217,6 @@ class RegionScheduleCache:
         self.states_reused = 0
 
     # -- storage --------------------------------------------------------
-    @property
-    def max_entries(self) -> int:
-        return self._lru.max_entries
-
     @property
     def stats(self):
         """Unit lookup counters (``CacheStats``)."""

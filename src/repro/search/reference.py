@@ -80,16 +80,13 @@ def reference_search(transforms: TransformLibrary, library: Library,
     from ..core.search import SearchConfig, expand_candidates
     cfg = config or SearchConfig()
     rng = random.Random(cfg.seed)
-    driver = RewriteDriver(transforms,
-                           incremental=cfg.incremental_enumeration,
-                           cache_size=cfg.enum_cache_size)
+    driver = RewriteDriver(transforms)
     owns_engine = engine is None
     if engine is None:
         engine = EvaluationEngine(
             library, allocation, objective, sched_config=sched_config,
             branch_probs=branch_probs, workers=cfg.workers,
-            cache_size=cfg.cache_size, incremental=cfg.incremental,
-            region_cache_size=cfg.region_cache_size)
+            cache_size=cfg.cache_size)
     try:
         initial = engine.evaluate(behavior)
         if initial.result is None:

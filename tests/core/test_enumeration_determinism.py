@@ -82,13 +82,6 @@ class TestSearchTrajectories:
         b = _trajectory(_search(seed=3).run(behavior))
         assert a == b
 
-    def test_incremental_enumeration_is_invisible(self):
-        behavior = compile_source(GCD_SRC)
-        on = _trajectory(_search(seed=4).run(behavior))
-        off = _trajectory(
-            _search(seed=4, incremental_enumeration=False).run(behavior))
-        assert on == off
-
     def test_backends_byte_identical(self):
         behavior = compile_source(GCD_SRC)
         serial = _trajectory(_search(seed=5, workers=0).run(behavior))

@@ -22,12 +22,14 @@ proc gcd(in a, in b, out g) {
 ALLOC = "sb1=2,cp1=1,e1=1"
 
 
-def small_config(generations=2, seed=1):
+def small_config(generations=2, seed=1, workers=None):
+    # Like the CLI, the worker count goes into both the exploration and
+    # the warm-start search config.
     return ExploreConfig(
         generations=generations, population_size=4,
-        max_candidates_per_seed=10, seed=seed,
+        max_candidates_per_seed=10, seed=seed, workers=workers,
         search=SearchConfig(max_outer_iters=2, seed=seed,
-                            max_candidates_per_seed=10))
+                            max_candidates_per_seed=10, workers=workers))
 
 
 @pytest.fixture(scope="module")
@@ -87,36 +89,58 @@ class TestRun:
                           store=tmp_path / "s").run()
 
 
+def run_until_first_generation(runner):
+    """Run, asking for a stop after the first completed generation: the
+    checkpoint flushes and the run returns cleanly, exactly as the
+    SIGINT handler does."""
+    original = ExploreRunner._save_checkpoint
+
+    def stop_after_first(self, generation, *args, **kwargs):
+        original(self, generation, *args, **kwargs)
+        if generation >= 1:
+            self.request_stop()
+
+    ExploreRunner._save_checkpoint = stop_after_first
+    try:
+        partial = runner.run()
+    finally:
+        ExploreRunner._save_checkpoint = original
+    assert partial.state is JobState.CANCELLED
+    assert partial.generations == 1
+    return partial
+
+
 class TestCheckpointResume:
     def test_interrupt_then_resume_is_byte_identical(self, gcd_setup,
                                                      tmp_path):
         reference = make_runner(gcd_setup, tmp_path / "ref",
                                 config=small_config(3)).run()
-        runner = make_runner(gcd_setup, tmp_path / "cut",
-                             config=small_config(3))
-        # Ask for a stop after the first completed generation: the
-        # checkpoint flushes and the run returns cleanly, exactly as
-        # the SIGINT handler does.
-        original = ExploreRunner._save_checkpoint
-
-        def stop_after_first(self, generation, *args, **kwargs):
-            original(self, generation, *args, **kwargs)
-            if generation >= 1:
-                self.request_stop()
-
-        ExploreRunner._save_checkpoint = stop_after_first
-        try:
-            partial = runner.run()
-        finally:
-            ExploreRunner._save_checkpoint = original
-        assert partial.state is JobState.CANCELLED
-        assert partial.generations == 1
+        run_until_first_generation(make_runner(
+            gcd_setup, tmp_path / "cut", config=small_config(3)))
         resumed = make_runner(gcd_setup, tmp_path / "cut",
                               config=small_config(3)).run(resume=True)
         assert resumed.state is JobState.DONE
         assert resumed.generations == 3
         assert resumed.front.to_json() == reference.front.to_json()
         assert resumed.front.to_csv() == reference.front.to_csv()
+
+    def test_resume_under_another_worker_count(self, gcd_setup,
+                                               tmp_path):
+        """The worker count never shapes the trajectory, so it is not
+        part of the run identity: a run checkpointed under one count
+        resumes under another (both serial here, so no pool spawns)."""
+        reference = make_runner(gcd_setup, tmp_path / "ref",
+                                config=small_config(3)).run()
+        runner = make_runner(gcd_setup, tmp_path / "cut",
+                             config=small_config(3, workers=0))
+        run_until_first_generation(runner)
+        resumed = make_runner(gcd_setup, tmp_path / "cut",
+                              config=small_config(3, workers=1),
+                              checkpoint=runner.checkpoint
+                              ).run(resume=True)
+        assert resumed.state is JobState.DONE
+        assert resumed.generations == 3
+        assert resumed.front.to_json() == reference.front.to_json()
 
     def test_resume_without_checkpoint_starts_fresh(self, gcd_setup,
                                                     tmp_path):

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.cdfg.interp import execute
-from repro.core.engine import context_fingerprint
 from repro.errors import ReproError, ScheduleError
 from repro.hw import Allocation, dac98_library
 from repro.lang.lower import compile_source
@@ -19,7 +18,6 @@ from repro.profiling import uniform_traces
 from repro.profiling.profiler import profile
 from repro.rewrite import RewriteDriver
 from repro.sched.driver import Scheduler
-from repro.sched.regioncache import RegionScheduleCache
 from repro.sched.types import SchedConfig
 from repro.transforms import default_library
 
@@ -66,26 +64,6 @@ def test_path_explosion_trips_the_max_states_guard():
                   probs).schedule()
 
 
-# -- plain walk vs. splice path --------------------------------------------
-
-def test_drift_circuit_splice_matches_plain_structurally():
-    """The splice path (region cache off) must produce the same STG as
-    the plain walk; the average length may drift only by float
-    associativity.  Shrunken from a campaign circuit whose averages
-    differed in the last bits."""
-    behavior = corpus_behavior("drift_plain_vs_splice.bdl")
-    library, allocation, config, probs = _scheduler_inputs(behavior)
-    plain = Scheduler(behavior, library, allocation, config,
-                      probs).schedule()
-    fp = context_fingerprint(library, allocation, config, probs)
-    cache_off = RegionScheduleCache(max_entries=0, context_fp=fp)
-    splice = Scheduler(behavior, library, allocation, config, probs,
-                       region_cache=cache_off).schedule()
-    assert splice.n_states() == plain.n_states()
-    a, b = plain.average_length(), splice.average_length()
-    assert abs(a - b) <= 1e-9 * max(1.0, b)
-
-
 # -- incremental enumeration after a loop shrinks --------------------------
 
 def _first_apply_parity(behavior):
@@ -100,7 +78,7 @@ def _first_apply_parity(behavior):
             continue
         incremental = sorted((c.sort_key, c.description)
                              for c in driver.candidates(child))
-        full_driver = RewriteDriver(library, incremental=False)
+        full_driver = RewriteDriver(library, cache_size=0)
         full = sorted((c.sort_key, c.description)
                       for c in full_driver.candidates(child))
         return cand.description, incremental, full

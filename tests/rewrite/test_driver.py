@@ -27,9 +27,10 @@ def sort_keys(cands):
 
 
 def fresh_pair():
-    return (RewriteDriver(default_library(), incremental=True),
-            RewriteDriver(default_library(), incremental=False,
-                          cache_size=0))
+    """An incremental driver and a full-scan reference: with no memo,
+    the reference never holds a parent entry to carry matches from."""
+    return (RewriteDriver(default_library()),
+            RewriteDriver(default_library(), cache_size=0))
 
 
 class TestMemoization:

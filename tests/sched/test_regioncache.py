@@ -1,4 +1,4 @@
-"""Region-level schedule memoization: identity with the legacy path."""
+"""Region-level schedule memoization: reuse, splicing and unit keys."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.sched.regioncache import (CachedFragment, RegionScheduleCache,
 from repro.stg.model import ScheduledOp, Stg
 
 LIB = dac98_library()
-NAMES = ("gcd", "fir", "test2", "sintran", "igf", "pps")
 
 GCD_SRC = """
 proc gcd(in a, in b, out g) {
@@ -37,21 +36,8 @@ def _schedule(c, beh, probs, cache):
 
 
 class TestBitIdentity:
-    """The build-and-splice path reproduces the in-place walk exactly."""
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_cached_and_zero_storage_match_legacy(self, name):
-        c, beh, probs = _setup(name)
-        legacy = _schedule(c, beh, probs, None)
-        cached = _schedule(c, beh, probs,
-                           RegionScheduleCache(context_fp="t"))
-        zero = _schedule(c, beh, probs,
-                         RegionScheduleCache(max_entries=0,
-                                             context_fp="t"))
-        assert cached.stg.to_dot() == legacy.stg.to_dot()
-        assert zero.stg.to_dot() == legacy.stg.to_dot()
-        assert cached.average_length() == legacy.average_length()
-        assert zero.average_length() == legacy.average_length()
+    """A warm cache reproduces the cold schedule exactly (absolute
+    schedules are pinned by ``test_schedule_golden.py``)."""
 
     @pytest.mark.parametrize("name", ("gcd", "fir", "test2"))
     def test_warm_reschedule_is_pure_reuse(self, name):

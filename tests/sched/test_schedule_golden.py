@@ -1,7 +1,7 @@
 """Golden schedules: absolute STGs of the bench circuits stay pinned.
 
 Every other scheduler test compares two paths that share the placement
-kernel (incremental vs. full, cached vs. fresh), so a change to where
+kernel (warm vs. cold cache, serial vs. pool), so a change to where
 ops land would pass them unnoticed.  This file pins the schedules
 themselves: for each of the six bench circuits, the baseline and every
 first-generation candidate (``default_library().candidates``, sorted by

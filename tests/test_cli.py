@@ -137,6 +137,21 @@ class TestExplore:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command", ["optimize", "explore"])
+    @pytest.mark.parametrize("flag", ["--no-incremental",
+                                      "--no-incremental-enum"])
+    def test_incremental_switches_are_usage_errors(self, gcd_file,
+                                                   command, flag,
+                                                   capsys):
+        """Incremental scheduling and enumeration are the only paths;
+        their old off switches are rejected by argparse."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, gcd_file, flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestService:
     KNOBS = ["--alloc", "sb1=2,cp1=1,e1=1", "--generations", "1",
              "--population", "4", "--candidates-per-seed", "6",
