@@ -16,17 +16,46 @@ paper's CDFG model:
 The interpreter is the ground truth used by the profiler (branch
 probabilities, Section 4.1) and by the test suite to check that every
 transformation preserves functionality.
+
+Each block (and each loop's condition nodes) is compiled once per
+:class:`Interpreter` into an execution *plan*: its nodes in topological
+order, each as a :data:`PlanEntry` carrying the node's guard literals,
+operand sources, a kind tag and what the tag needs (the pure evaluator,
+the constant, the array name, the join's ports).  Running a block is one
+loop over its plan.  Plans are rebuilt when ``graph.version`` changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import InterpError, InterpLimitError
 from .ir import Graph
-from .ops import OpKind, evaluate, wrap
+from .ops import DEFAULT_WIDTH, OP_INFO, OpKind, wrap
 from .regions import Behavior, BlockRegion, LoopRegion, Region, SeqRegion
+
+# Plan entry tags.  Pure operations are split by arity so the common
+# binary and unary cases unpack their sources without building a list.
+_BINARY, _UNARY, _NARY, _COPY, _VALUE, _JOIN, _SELECT, _LOAD, _STORE = range(9)
+
+#: Source id compiled in for an unconnected port: it is never in the
+#: value table, so reading it takes the operand-error path, which
+#: re-reads the port through the graph and raises its ``CdfgError``.
+_UNCONNECTED = -1
+
+#: Every value in the table is a signed ``DEFAULT_WIDTH``-bit integer;
+#: an evaluator result inside this range is already wrapped.
+_MIN = -(1 << (DEFAULT_WIDTH - 1))
+_MAX = (1 << (DEFAULT_WIDTH - 1)) - 1
+
+#: ``(nid, guards, tag, sources, aux, is_cond)``.  ``guards`` are
+#: ``(cond, polarity)`` literals; ``sources`` are operand node ids in
+#: the order the tag reads them; ``aux`` is the evaluator (pure ops),
+#: the value (``_VALUE``), the array name (memory ops) or the sorted
+#: ``(port, src)`` pairs (``_JOIN``).
+PlanEntry = Tuple[int, Tuple[Tuple[int, bool], ...], int, Tuple[int, ...],
+                  object, bool]
 
 
 @dataclass
@@ -66,6 +95,10 @@ class Interpreter:
         self.graph: Graph = behavior.graph
         self.max_steps = max_steps
         self._cond_ids = self._find_condition_nodes()
+        self._version = self.graph.version
+        # id(node list) -> (node list, plan); holding the list keeps
+        # its id from being reused while the entry lives.
+        self._plans: Dict[int, Tuple[List[int], Tuple[PlanEntry, ...]]] = {}
 
     def _find_condition_nodes(self) -> Set[int]:
         """Nodes whose boolean value steers control flow."""
@@ -94,8 +127,17 @@ class Interpreter:
 
         Returns:
             An :class:`ExecResult` with outputs, memory, and profile data.
+
+        Raises:
+            InterpError: on a name the behavior does not declare, and on
+                any run-time trap.
         """
         inputs = dict(inputs or {})
+        self._check_names(inputs, arrays or {})
+        if self.graph.version != self._version:
+            self._cond_ids = self._find_condition_nodes()
+            self._plans.clear()
+            self._version = self.graph.version
         self._values: Dict[int, int] = {}
         self._result = ExecResult()
         self._memory: Dict[str, List[int]] = {}
@@ -131,13 +173,26 @@ class Interpreter:
         self._result.arrays = {k: list(v) for k, v in self._memory.items()}
         return self._result
 
+    def _check_names(self, inputs: Dict[str, int],
+                     arrays: Dict[str, Sequence[int]]) -> None:
+        """Reject input and array names the behavior does not declare."""
+        beh = self.behavior
+        for what, given, declared in (
+                ("input", inputs, beh.inputs),
+                ("array", arrays, [d.name for d in beh.arrays.values()])):
+            unknown = sorted(set(given) - set(declared))
+            if unknown:
+                raise InterpError(
+                    f"{beh.name} has no {what} {', '.join(unknown)}; "
+                    f"declared {what}s: {', '.join(declared) or 'none'}")
+
     # ------------------------------------------------------------------
     def _eval_region(self, region: Region) -> None:
         if isinstance(region, SeqRegion):
             for child in region.children:
                 self._eval_region(child)
         elif isinstance(region, BlockRegion):
-            self._eval_nodes(region.nodes)
+            self._eval_nodes(self._plan(region.nodes))
         elif isinstance(region, LoopRegion):
             self._eval_loop(region)
         else:
@@ -145,133 +200,211 @@ class Interpreter:
 
     def _eval_loop(self, loop: LoopRegion) -> None:
         g = self.graph
+        values = self._values
         for lv in loop.loop_vars:
             init = g.data_input(lv.join, 0)
-            if init not in self._values:
+            if init not in values:
                 raise InterpError(
                     f"loop {loop.name}: initial value of {lv.name!r} "
                     f"not available")
-            self._values[lv.join] = self._values[init]
+            values[lv.join] = values[init]
+        cond_plan = self._plan(loop.cond_nodes)
+        updates = [(lv, g.input_ports(lv.join).get(1, _UNCONNECTED))
+                   for lv in loop.loop_vars]
         iters = 0
         while True:
-            self._eval_nodes(loop.cond_nodes)
-            if loop.cond not in self._values:
+            self._eval_nodes(cond_plan)
+            cond = values.get(loop.cond)
+            if cond is None:
                 raise InterpError(f"loop {loop.name}: condition did not "
                                   f"execute")
-            if not self._values[loop.cond]:
+            if not cond:
                 break
             iters += 1
             self._eval_region(loop.body)
             latched = []
-            for lv in loop.loop_vars:
-                upd = g.data_input(lv.join, 1)
-                if upd not in self._values:
+            for lv, upd in updates:
+                if upd not in values:
+                    g.data_input(lv.join, 1)  # an unconnected port raises
                     raise InterpError(
                         f"loop {loop.name}: update of {lv.name!r} did not "
                         f"execute this iteration")
-                latched.append(self._values[upd])
-            for lv, val in zip(loop.loop_vars, latched):
-                self._values[lv.join] = val
+                latched.append(values[upd])
+            for (lv, _upd), val in zip(updates, latched):
+                values[lv.join] = val
         self._result.loop_iterations[loop.name] = (
             self._result.loop_iterations.get(loop.name, 0) + iters)
 
-    def _eval_nodes(self, nodes: Iterable[int]) -> None:
-        """Evaluate an acyclic guarded node set in topological order."""
+    # ------------------------------------------------------------------
+    def _plan(self, nodes: List[int]) -> Tuple[PlanEntry, ...]:
+        """The plan of an acyclic guarded node set, compiled on first use."""
+        cached = self._plans.get(id(nodes))
+        if cached is None:
+            plan = tuple(self._compile(nid)
+                         for nid in self.graph.topo_order(nodes))
+            cached = self._plans[id(nodes)] = (nodes, plan)
+        return cached[1]
+
+    def _compile(self, nid: int) -> PlanEntry:
         g = self.graph
-        order = g.topo_order(nodes)
-        for nid in order:
-            self._values.pop(nid, None)
-        for nid in order:
-            if not self._guard_ok(nid):
-                continue
-            value = self._eval_node(nid)
-            if value is not None:
-                self._values[nid] = value
-            self._bump(nid)
-            if nid in self._cond_ids and value is not None:
-                counts = self._result.cond_counts.setdefault(nid, [0, 0])
-                counts[1 if value else 0] += 1
-
-    def _guard_ok(self, nid: int) -> bool:
-        for src, pol in self.graph.control_inputs(nid):
-            if src not in self._values:
-                return False
-            if bool(self._values[src]) != pol:
-                return False
-        return True
-
-    def _operand(self, nid: int, port: int) -> int:
-        src = self.graph.data_input(nid, port)
-        if src not in self._values:
-            raise InterpError(
-                f"node {nid} ({self.graph.nodes[nid].label()}) reads "
-                f"unexecuted node {src} "
-                f"({self.graph.nodes[src].label()}) on port {port}")
-        return self._values[src]
-
-    def _eval_node(self, nid: int) -> Optional[int]:
-        node = self.graph.nodes[nid]
+        node = g.nodes[nid]
         kind = node.kind
+        ports = g.input_ports(nid)
+        guards = tuple((src, bool(pol)) for src, pol in g.control_inputs(nid))
+
+        def src(port: int) -> int:
+            return ports.get(port, _UNCONNECTED)
+
+        aux: object = None
         if kind is OpKind.CONST:
-            return wrap(node.value or 0)
-        if kind is OpKind.INPUT:
-            return self._values.get(nid, 0)
-        if kind is OpKind.OUTPUT:
-            return None
-        if kind is OpKind.COPY:
-            return self._operand(nid, 0)
-        if kind is OpKind.JOIN:
-            fired = []
-            for port, src in sorted(self.graph.input_ports(nid).items()):
-                if src in self._values:
-                    fired.append((port, src))
-            if not fired:
-                return None  # join itself stays unexecuted
-            if len(fired) > 1:
-                vals = {self._values[src] for _p, src in fired}
-                if len(vals) > 1:
-                    raise InterpError(
-                        f"JOIN {nid} received tokens on multiple inputs "
-                        f"with differing values: {sorted(fired)}")
-            return self._values[fired[0][1]]
-        if kind is OpKind.SELECT:
-            sel = self._operand(nid, 2)
-            return self._operand(nid, 0 if sel else 1)
-        if kind is OpKind.LOAD:
-            return self._mem_access(nid, store=False)
-        if kind is OpKind.STORE:
-            self._mem_access(nid, store=True)
-            return None
-        operands = [self._operand(nid, p)
-                    for p in range(len(self.graph.data_inputs(nid)))]
-        try:
-            return evaluate(kind, *operands)
-        except ZeroDivisionError as exc:
-            raise InterpError(f"node {nid}: {exc}") from None
+            tag, srcs, aux = _VALUE, (), wrap(node.value or 0)
+        elif kind is OpKind.INPUT:
+            # An input placed inside a block executes as 0: a block's
+            # own nodes hold no value until they execute this pass.
+            tag, srcs, aux = _VALUE, (), 0
+        elif kind is OpKind.OUTPUT:
+            tag, srcs = _VALUE, ()
+        elif kind is OpKind.COPY:
+            tag, srcs = _COPY, (src(0),)
+        elif kind is OpKind.JOIN:
+            aux = tuple(sorted(ports.items()))
+            tag, srcs = _JOIN, tuple(s for _p, s in aux)
+        elif kind is OpKind.SELECT:
+            tag, srcs = _SELECT, (src(2), src(0), src(1))
+        elif kind is OpKind.LOAD:
+            tag, srcs, aux = _LOAD, (src(0),), node.array or ""
+        elif kind is OpKind.STORE:
+            tag, srcs, aux = _STORE, (src(0), src(1)), node.array or ""
+        else:
+            srcs = tuple(src(p) for p in range(max(ports, default=-1) + 1))
+            tag = {2: _BINARY, 1: _UNARY}.get(len(srcs), _NARY)
+            aux = OP_INFO[kind].evaluator
+        return nid, guards, tag, srcs, aux, nid in self._cond_ids
 
-    def _mem_access(self, nid: int, store: bool) -> Optional[int]:
-        node = self.graph.nodes[nid]
-        name = node.array or ""
-        if name not in self._memory:
-            raise InterpError(f"access to undeclared array {name!r}")
-        mem = self._memory[name]
-        index = self._operand(nid, 0)
-        if not 0 <= index < len(mem):
-            raise InterpError(
-                f"array {name}[{index}] out of bounds (size {len(mem)})")
-        if store:
-            mem[index] = wrap(self._operand(nid, 1))
-            return None
-        return mem[index]
+    def _eval_nodes(self, plan: Tuple[PlanEntry, ...]) -> None:
+        """Run a plan: evaluate its nodes in topological order.
 
-    def _bump(self, nid: int) -> None:
-        self._result.node_counts[nid] = (
-            self._result.node_counts.get(nid, 0) + 1)
-        self._result.steps += 1
-        if self._result.steps > self.max_steps:
-            raise InterpLimitError(
-                f"exceeded {self.max_steps} operation executions; "
-                f"behavior may not terminate")
+        A node's value from an earlier pass over the plan is overwritten
+        when the node executes and dropped when it does not.  No node
+        reads a plan-mate before that mate's turn, so this is the same
+        as clearing the whole block first.
+        """
+        values = self._values
+        get = values.get
+        drop = values.pop
+        memory = self._memory
+        result = self._result
+        counts = result.node_counts
+        cond_counts = result.cond_counts
+        steps = result.steps
+        limit = self.max_steps
+        for nid, guards, tag, srcs, aux, is_cond in plan:
+            if guards:
+                live = True
+                for cond, pol in guards:
+                    c = get(cond)
+                    if c is None or (c != 0) is not pol:
+                        live = False
+                        break
+                if not live:
+                    drop(nid, None)
+                    continue
+            try:
+                if tag == _BINARY:
+                    a, b = srcs
+                    v = aux(values[a], values[b])
+                    if not _MIN <= v <= _MAX:
+                        v = wrap(v)
+                elif tag == _UNARY:
+                    v = aux(values[srcs[0]])
+                    if not _MIN <= v <= _MAX:
+                        v = wrap(v)
+                elif tag == _LOAD or tag == _STORE:
+                    mem = memory.get(aux)
+                    if mem is None:
+                        raise InterpError(
+                            f"access to undeclared array {aux!r}")
+                    index = values[srcs[0]]
+                    if not 0 <= index < len(mem):
+                        raise InterpError(
+                            f"array {aux}[{index}] out of bounds "
+                            f"(size {len(mem)})")
+                    if tag == _LOAD:
+                        v = mem[index]
+                    else:
+                        mem[index] = values[srcs[1]]
+                        v = None
+                elif tag == _JOIN:
+                    v = None
+                    for s in srcs:
+                        w = get(s)
+                        if w is not None:
+                            if v is None:
+                                v = w
+                            elif w != v:
+                                raise self._join_error(nid, aux)
+                elif tag == _VALUE:
+                    v = aux
+                elif tag == _COPY:
+                    v = values[srcs[0]]
+                elif tag == _SELECT:
+                    sel, left, right = srcs
+                    v = values[left if values[sel] else right]
+                else:
+                    v = wrap(aux(*[values[s] for s in srcs]))
+            except KeyError:
+                raise self._operand_error(nid, tag) from None
+            except ZeroDivisionError as exc:
+                raise InterpError(f"node {nid}: {exc}") from None
+            if v is None:
+                drop(nid, None)
+            else:
+                values[nid] = v
+            try:
+                counts[nid] += 1
+            except KeyError:
+                counts[nid] = 1
+            steps += 1
+            if steps > limit:
+                raise InterpLimitError(
+                    f"exceeded {self.max_steps} operation executions; "
+                    f"behavior may not terminate")
+            if is_cond and v is not None:
+                tally = cond_counts.get(nid)
+                if tally is None:
+                    tally = cond_counts[nid] = [0, 0]
+                tally[1 if v else 0] += 1
+        result.steps = steps
+
+    def _operand_error(self, nid: int, tag: int) -> InterpError:
+        """The error for the first operand of ``nid`` that did not
+        execute, taking ports in the order the node reads them."""
+        g = self.graph
+        values = self._values
+        if tag == _SELECT:
+            sel = values.get(g.data_input(nid, 2))
+            ports: Sequence[int] = [2] if sel is None else [0 if sel else 1]
+        elif tag == _STORE:
+            ports = (0, 1)
+        elif tag in (_COPY, _LOAD):
+            ports = (0,)
+        else:
+            ports = range(len(g.data_inputs(nid)))
+        for port in ports:
+            src = g.data_input(nid, port)
+            if src not in values:
+                return InterpError(
+                    f"node {nid} ({g.nodes[nid].label()}) reads "
+                    f"unexecuted node {src} ({g.nodes[src].label()}) "
+                    f"on port {port}")
+        raise AssertionError(f"node {nid} read no unexecuted operand")
+
+    def _join_error(self, nid: int,
+                    ports: Tuple[Tuple[int, int], ...]) -> InterpError:
+        fired = [(port, src) for port, src in ports if src in self._values]
+        return InterpError(
+            f"JOIN {nid} received tokens on multiple inputs "
+            f"with differing values: {sorted(fired)}")
 
 
 def execute(behavior: Behavior, inputs: Optional[Dict[str, int]] = None,

@@ -83,6 +83,8 @@ class Graph:
         # data edges: dst -> {port: src}; src -> {(dst, port)}
         self._din: Dict[int, Dict[int, int]] = {}
         self._dout: Dict[int, Set[Tuple[int, int]]] = {}
+        # Control and order edges are sparse: most nodes have neither,
+        # so only a node that has had one gets an entry.
         # control edges: dst -> [(src, polarity)]; src -> [(dst, polarity)]
         self._cin: Dict[int, List[Tuple[int, bool]]] = {}
         self._cout: Dict[int, List[Tuple[int, bool]]] = {}
@@ -145,10 +147,6 @@ class Graph:
                                var=var, array=array)
         self._din[nid] = {}
         self._dout[nid] = set()
-        self._cin[nid] = []
-        self._cout[nid] = []
-        self._oin[nid] = set()
-        self._oout[nid] = set()
         self._touch(nid)
         return nid
 
@@ -175,17 +173,18 @@ class Graph:
             self.remove_data_edge(nid, port)
         for dst, port in list(self._dout[nid]):
             self.remove_data_edge(dst, port)
-        for src, pol in list(self._cin[nid]):
+        for src, pol in list(self._cin.get(nid, ())):
             self.remove_control_edge(src, nid, pol)
-        for dst, pol in list(self._cout[nid]):
+        for dst, pol in list(self._cout.get(nid, ())):
             self.remove_control_edge(nid, dst, pol)
-        for src in list(self._oin[nid]):
+        for src in list(self._oin.get(nid, ())):
             self.remove_order_edge(src, nid)
-        for dst in list(self._oout[nid]):
+        for dst in list(self._oout.get(nid, ())):
             self.remove_order_edge(nid, dst)
-        for table in (self._din, self._dout, self._cin, self._cout,
-                      self._oin, self._oout):
-            del table[nid]
+        del self._din[nid]
+        del self._dout[nid]
+        for table in (self._cin, self._cout, self._oin, self._oout):
+            table.pop(nid, None)
         del self.nodes[nid]
         self._touch(nid)
 
@@ -275,29 +274,30 @@ class Graph:
         """Make ``dst`` execute only when ``src`` evaluates to ``polarity``."""
         self.node(src)
         self.node(dst)
-        if (src, polarity) not in self._cin[dst]:
-            self._cin[dst].append((src, polarity))
-            self._cout[src].append((dst, polarity))
+        guards = self._cin.setdefault(dst, [])
+        if (src, polarity) not in guards:
+            guards.append((src, polarity))
+            self._cout.setdefault(src, []).append((dst, polarity))
             self._touch(src, dst)
 
     def remove_control_edge(self, src: int, dst: int, polarity: bool) -> None:
         """Remove a control edge if present."""
-        if (src, polarity) in self._cin.get(dst, []):
+        if (src, polarity) in self._cin.get(dst, ()):
             self._cin[dst].remove((src, polarity))
             self._cout[src].remove((dst, polarity))
             self._touch(src, dst)
 
     def control_inputs(self, nid: int) -> List[Tuple[int, bool]]:
         """``(cond_node, polarity)`` guards of ``nid`` (a copy)."""
-        return list(self._cin[nid])
+        return list(self._cin.get(nid, ()))
 
     def control_users(self, nid: int) -> List[Tuple[int, bool]]:
         """``(guarded_node, polarity)`` pairs controlled by ``nid``."""
-        return list(self._cout[nid])
+        return list(self._cout.get(nid, ()))
 
     def clear_control_inputs(self, nid: int) -> None:
         """Strip every guard from ``nid`` (used by speculation)."""
-        for src, pol in list(self._cin[nid]):
+        for src, pol in list(self._cin.get(nid, ())):
             self.remove_control_edge(src, nid, pol)
 
     # ------------------------------------------------------------------
@@ -307,25 +307,26 @@ class Graph:
         """Require ``src`` to complete before ``dst`` starts."""
         self.node(src)
         self.node(dst)
-        if dst not in self._oout[src]:
-            self._oout[src].add(dst)
-            self._oin[dst].add(src)
+        succs = self._oout.setdefault(src, set())
+        if dst not in succs:
+            succs.add(dst)
+            self._oin.setdefault(dst, set()).add(src)
             self._touch(src, dst)
 
     def remove_order_edge(self, src: int, dst: int) -> None:
         """Remove an order edge if present."""
-        if dst in self._oout.get(src, set()):
+        if dst in self._oout.get(src, ()):
             self._oout[src].discard(dst)
             self._oin[dst].discard(src)
             self._touch(src, dst)
 
     def order_preds(self, nid: int) -> Set[int]:
         """Nodes that must complete before ``nid``."""
-        return set(self._oin[nid])
+        return set(self._oin.get(nid, ()))
 
     def order_succs(self, nid: int) -> Set[int]:
         """Nodes that must wait for ``nid``."""
-        return set(self._oout[nid])
+        return set(self._oout.get(nid, ()))
 
     # ------------------------------------------------------------------
     # Combined views
@@ -333,15 +334,15 @@ class Graph:
     def preds(self, nid: int) -> Set[int]:
         """All predecessors of ``nid`` across the three edge kinds."""
         out = set(self._din[nid].values())
-        out.update(src for src, _pol in self._cin[nid])
-        out.update(self._oin[nid])
+        out.update(src for src, _pol in self._cin.get(nid, ()))
+        out.update(self._oin.get(nid, ()))
         return out
 
     def succs(self, nid: int) -> Set[int]:
         """All successors of ``nid`` across the three edge kinds."""
         out = {dst for dst, _port in self._dout[nid]}
-        out.update(dst for dst, _pol in self._cout[nid])
-        out.update(self._oout[nid])
+        out.update(dst for dst, _pol in self._cout.get(nid, ()))
+        out.update(self._oout.get(nid, ()))
         return out
 
     def topo_order(self, subset: Optional[Iterable[int]] = None) -> List[int]:
@@ -420,6 +421,8 @@ class Graph:
                 .encode()).digest()
         cap = rounds if rounds is not None else 8
         n_classes = len(set(sig.values()))
+        cin, cout = self._cin.get, self._cout.get
+        oin, oout = self._oin.get, self._oout.get
         for _ in range(cap):
             nxt: Dict[int, bytes] = {}
             for nid in self.nodes:
@@ -431,14 +434,14 @@ class Graph:
                                    in self._dout[nid]):
                     h.update(b"\x02" + p.to_bytes(2, "big") + s)
                 for pol, s in sorted((pol, sig[s]) for s, pol
-                                     in self._cin[nid]):
+                                     in cin(nid, ())):
                     h.update(b"\x03" + bytes([pol]) + s)
                 for pol, s in sorted((pol, sig[d]) for d, pol
-                                     in self._cout[nid]):
+                                     in cout(nid, ())):
                     h.update(b"\x04" + bytes([pol]) + s)
-                for s in sorted(sig[s] for s in self._oin[nid]):
+                for s in sorted(sig[s] for s in oin(nid, ())):
                     h.update(b"\x05" + s)
-                for s in sorted(sig[d] for d in self._oout[nid]):
+                for s in sorted(sig[d] for d in oout(nid, ())):
                     h.update(b"\x06" + s)
                 nxt[nid] = h.digest()
             sig = nxt
@@ -465,9 +468,9 @@ class Graph:
             me = sig[nid]
             for p, s in self._din[nid].items():
                 edges.append(b"d" + p.to_bytes(2, "big") + sig[s] + me)
-            for s, pol in self._cin[nid]:
+            for s, pol in self._cin.get(nid, ()):
                 edges.append(b"c" + bytes([pol]) + sig[s] + me)
-            for s in self._oin[nid]:
+            for s in self._oin.get(nid, ()):
                 edges.append(b"o" + sig[s] + me)
         h = _digest(b"")
         for s in sorted(sig.values()):

@@ -227,8 +227,10 @@ class ExploreRunner:
         run_start_rewrite = self.driver.stats.copy()
         telemetry.start()
         try:
-            with engine, self.tracer.span("explore",
-                                          behavior=self.behavior.name):
+            # The span opens first so the pool's shutdown, when the
+            # engine exits, is booked to it.
+            with self.tracer.span("explore",
+                                  behavior=self.behavior.name), engine:
                 state = self._load_checkpoint() if resume else None
                 if state is not None:
                     rng = random.Random()

@@ -54,6 +54,14 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", gcd_file, "a"])
 
+    def test_undeclared_input_is_an_error(self, gcd_file, capsys):
+        # A string exit code prints to stderr and exits with status 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", gcd_file, "a=36", "c=60"])
+        assert exc.value.code == ("error: gcd has no input c; declared "
+                                  "inputs: a, b")
+        assert capsys.readouterr().out == ""
+
 
 class TestSchedule:
     def test_schedule_stats(self, gcd_file, capsys):
