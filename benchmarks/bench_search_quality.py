@@ -1,13 +1,8 @@
 """Experiment: search-strategy quality at equal evaluation budget.
 
-Three claims about the strategy layer (``repro.search``), each checked
+Two claims about the strategy layer (``repro.search``), each checked
 on the paper's designs:
 
-* **identity** — ``TransformSearch`` running the default ``greedy``
-  strategy is byte-identical to the frozen pre-refactor loop
-  (``repro.search.reference``): same best, lineage, history and
-  counters under fixed seeds.  Enforced in every mode; this is the
-  refactor's contract.
 * **quality** — with the same ``max_evaluations`` budget, the macro or
   portfolio strategy finds a strictly better best cost than greedy on
   the ``test2`` power landscape (a grid over seeds and neighborhood
@@ -18,10 +13,10 @@ on the paper's designs:
   cold-from-scratch run's final front quality (hypervolume proxy) in
   strictly fewer scheduled evaluations at a shifted clock context.
 
-The ``--quick`` mode (the CI ``bench-search`` job) runs only the
-identity gate — it is machine-independent and must never flake; the
-quality and warm-start gates run in the full mode.  The report is
-written to ``BENCH_search.json`` either way.
+Both gates take minutes, so this is a local experiment, not a CI job.
+The greedy strategy's byte-identity with the pre-refactor loop is a
+tier-1 test (``tests/search/test_strategy.py``).  The report is written
+to ``BENCH_search.json``.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_search_quality.py
 """
@@ -32,18 +27,16 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.circuits import circuit
-from repro.core.objectives import POWER, THROUGHPUT, Objective
+from repro.core.objectives import POWER, Objective
 from repro.core.search import SearchConfig, TransformSearch
 from repro.explore.runner import ExploreConfig, ExploreRunner
 from repro.hw import dac98_library
 from repro.profiling.profiler import profile
-from repro.search.reference import reference_search
 from repro.sched.types import SchedConfig
 from repro.transforms import default_library
 
 LIB = dac98_library()
 
-IDENTITY_CIRCUITS = ("gcd", "test2")
 #: quality grid: the power objective on test2 with a tight one-rewrite
 #: neighborhood — the regime where greedy's single-step moves stall
 QUALITY_CIRCUIT = "test2"
@@ -68,37 +61,7 @@ def _search(fix, objective: str, cfg: SearchConfig):
                            config=cfg).run(beh)
 
 
-# -- gate 1: greedy is the legacy loop ---------------------------------
-
-def run_identity(circuits: Sequence[str]) -> Tuple[List[Dict], int]:
-    records, divergences = [], 0
-    for name in circuits:
-        fix = _fixture(name)
-        cfg = SearchConfig(max_outer_iters=3, max_moves=2, seed=11,
-                           max_candidates_per_seed=12, workers=0)
-        got = _search(fix, THROUGHPUT, cfg)
-        beh, alloc, probs = fix
-        want = reference_search(default_library(), LIB, alloc,
-                                Objective(THROUGHPUT), beh,
-                                branch_probs=probs, config=cfg)
-        identical = (got.best.score == want.best.score
-                     and got.best.lineage == want.best.lineage
-                     and got.history == want.history
-                     and got.generations == want.generations
-                     and got.evaluated_count == want.evaluated_count)
-        if not identical:
-            divergences += 1
-        records.append({
-            "circuit": name, "identical": identical,
-            "strategy_best": got.best.score,
-            "reference_best": want.best.score,
-            "generations": got.generations,
-            "evaluated": got.evaluated_count,
-        })
-    return records, divergences
-
-
-# -- gate 2: macro/portfolio beat greedy at equal budget ---------------
+# -- gate 1: macro/portfolio beat greedy at equal budget ---------------
 
 def run_quality() -> Tuple[List[Dict], int]:
     fix = _fixture(QUALITY_CIRCUIT)
@@ -133,7 +96,7 @@ def run_quality() -> Tuple[List[Dict], int]:
     return cells, wins
 
 
-# -- gate 3: warm-start transfer saves evaluations ---------------------
+# -- gate 2: warm-start transfer saves evaluations ---------------------
 
 def _explore(clock: float, store, *, warm: bool,
              generations: int):
@@ -176,27 +139,17 @@ def run_warm_start(workdir: str) -> Dict:
     }
 
 
-def run_all(quick: bool, workdir: str) -> Tuple[Dict, int]:
-    identity, divergences = run_identity(
-        IDENTITY_CIRCUITS[:1] if quick else IDENTITY_CIRCUITS)
+def run_all(workdir: str) -> Tuple[Dict, int]:
     report: Dict[str, object] = {
-        "workload": {"quick": quick,
-                     "quality_budget": QUALITY_BUDGET},
-        "identity": identity,
+        "workload": {"quality_budget": QUALITY_BUDGET},
     }
     code = 0
-    if divergences:
-        print(f"FAIL: greedy diverged from the reference loop on "
-              f"{divergences} circuit(s)", file=sys.stderr)
-        code = 1
-    if quick:
-        return report, code
     cells, wins = run_quality()
     report["quality"] = cells
     if not wins:
         print("FAIL: no grid cell had macro or portfolio strictly "
               "beat greedy at equal budget", file=sys.stderr)
-        code = code or 2
+        code = 2
     warm = run_warm_start(workdir)
     report["warm_start"] = warm
     if not (warm["front_reached"]
@@ -208,11 +161,6 @@ def run_all(quick: bool, workdir: str) -> Tuple[Dict, int]:
 
 
 def _print_report(report: Dict) -> None:
-    for rec in report["identity"]:
-        print(f"identity {rec['circuit']}: "
-              f"{'identical' if rec['identical'] else 'DIVERGED'} "
-              f"({rec['generations']} generations, "
-              f"{rec['evaluated']} evaluations)")
     for cell in report.get("quality", ()):
         print(f"quality {cell['circuit']}/{cell['objective']} "
               f"seed={cell['seed']} neighborhood={cell['neighborhood']}"
@@ -230,29 +178,15 @@ def _print_report(report: Dict) -> None:
               f"(saved {warm['saved_evaluations']})")
 
 
-# -- pytest entry point (quick workload only; not tier-1) ---------------
-
-def test_greedy_identity(benchmark):
-    """Quick gate: the strategy layer's greedy is the legacy loop."""
-    from .conftest import once
-    _, divergences = once(
-        benchmark, lambda: run_identity(("gcd",)))
-    assert divergences == 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="identity gate only (the CI mode); "
-                             "quality and warm-start gates need the "
-                             "full mode")
     parser.add_argument("--out", default="BENCH_search.json",
                         help="report path (BENCH_search.json)")
     args = parser.parse_args(argv)
     import tempfile
     with tempfile.TemporaryDirectory() as workdir:
-        report, code = run_all(args.quick, workdir)
+        report, code = run_all(workdir)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     _print_report(report)

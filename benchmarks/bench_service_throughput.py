@@ -29,10 +29,12 @@ sub-store merged into the main store on completion (the multi-machine
 federation path), so cross-job store sharing cannot mute the
 measurement and every sync pass is exercised dozens of times.
 
-The ``--quick`` mode (CI ``service-smoke``) runs a handful of jobs and
-enforces only the equivalence requirements — wall-clock ratios are
-reported, not asserted, so a loaded CI machine cannot produce a
-spurious failure; the report still lands in ``BENCH_service.json``.
+The ``--quick`` mode runs a handful of jobs and enforces only the
+equivalence requirements — wall-clock ratios are reported, not
+asserted, so a loaded machine cannot produce a spurious failure; the
+report still lands in ``BENCH_service.json``.  Tier-1 tests
+(``tests/service/test_orchestrator.py``, ``TestSerialEquivalence``)
+check serial equivalence, with and without ``isolate_stores``.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_service_throughput.py
 """

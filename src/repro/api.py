@@ -17,8 +17,8 @@ pipeline behind three verbs and one configuration object:
   process (possibly on another machine) and fetch the merged front
   later (see :mod:`repro.service` and ``docs/service.md``);
 * :class:`ReproConfig` — one dataclass nesting ``FactConfig`` (which
-  itself nests ``SearchConfig`` and ``SchedConfig``) plus the engine
-  knobs (``workers``, ``cache_size``).
+  itself nests ``SearchConfig`` and ``SchedConfig``) plus the engine's
+  ``workers`` knob.
 
 Everything here is re-exported from the top-level :mod:`repro` package::
 
@@ -71,8 +71,8 @@ class ReproConfig:
         ReproConfig(workers=4)                      # engine knob only
         ReproConfig(fact=FactConfig(vdd=3.3))       # full control
 
-    ``workers`` / ``cache_size``, when given, override the evaluation
-    engine knobs inside the search section.
+    ``workers``, when given, overrides the evaluation engine's worker
+    count inside the search section.
 
     ``trace`` attaches a :class:`~repro.obs.trace.Tracer`: the run
     records nested spans (compile / schedule / evaluate /
@@ -86,7 +86,6 @@ class ReproConfig:
     sched: Optional[SchedConfig] = None
     search: Optional[SearchConfig] = None
     workers: Optional[int] = None
-    cache_size: Optional[int] = None
     trace: Optional[AnyTracer] = None
 
     def resolved(self) -> FactConfig:
@@ -96,13 +95,8 @@ class ReproConfig:
             fact.sched = self.sched
         if self.search is not None:
             fact.search = self.search
-        updates = {}
         if self.workers is not None:
-            updates["workers"] = self.workers
-        if self.cache_size is not None:
-            updates["cache_size"] = self.cache_size
-        if updates:
-            fact.search = replace(fact.search, **updates)
+            fact.search = replace(fact.search, workers=self.workers)
         return fact
 
 

@@ -54,6 +54,9 @@ TIEBREAK = 1e-7
 #: Environment knob consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
 
+#: Entries kept by the behavior memo and the rewrite-pair key index.
+CACHE_SIZE = 4096
+
 
 @dataclass
 class Evaluated:
@@ -292,7 +295,6 @@ class EvaluationEngine:
                  sched_config: Optional[SchedConfig] = None,
                  branch_probs: Optional[BranchProbs] = None, *,
                  workers: Optional[int] = None,
-                 cache_size: int = 4096,
                  region_cache: Optional[RegionScheduleCache] = None,
                  tracer: Optional[AnyTracer] = None
                  ) -> None:
@@ -303,12 +305,12 @@ class EvaluationEngine:
                                  branch_probs, objective,
                                  traced=bool(self.tracer.enabled))
         self.workers = resolve_workers(workers)
-        self.cache = EvalCache(max_entries=cache_size)
+        self.cache = EvalCache(max_entries=CACHE_SIZE)
         #: (parent raw fingerprint × match fingerprint) -> behavior
         #: cache key.  Applying one match to one parent is
         #: deterministic, so the pair resolves a child's key without
         #: re-fingerprinting its graph (see _key_with_provenance).
-        self._pair_keys = EvalCache(max_entries=cache_size)
+        self._pair_keys = EvalCache(max_entries=CACHE_SIZE)
         if region_cache is not None:
             # Externally shared cache (e.g. the Fact driver's per-context
             # registry): unit schedules survive across engines — and
@@ -433,15 +435,6 @@ class EvaluationEngine:
                                                     Tuple[str, ...]]],
                         span) -> List[Evaluated]:
         outputs: List[Optional[Evaluated]] = [None] * len(pairs)
-        if self.cache.max_entries <= 0:
-            # Cache disabled: skip fingerprinting entirely (this is the
-            # pre-engine code path, used as the benchmark baseline).
-            self.cache.stats.misses += len(pairs)
-            scored = self._score_batch([b for b, _ in pairs])
-            span.set(cache_hits=0, scheduled=len(pairs))
-            return [Evaluated(b, result, score, lineage, st)
-                    for (b, lineage), (result, score, st)
-                    in zip(pairs, scored)]
         # key -> indices into `pairs` awaiting that evaluation
         pending: Dict[str, List[int]] = {}
         order: List[str] = []
@@ -482,8 +475,7 @@ class EvaluationEngine:
         assert all(e is not None for e in outputs)
         return outputs  # type: ignore[return-value]
 
-    def _score_batch(self, behaviors: List[Behavior],
-                     keys: Optional[List[str]] = None
+    def _score_batch(self, behaviors: List[Behavior], keys: List[str]
                      ) -> List[Tuple[Optional[ScheduleResult], float,
                                      EvalStats]]:
         if len(behaviors) >= 2 and self.workers >= 2:
@@ -496,15 +488,13 @@ class EvaluationEngine:
                 for i, (triple, payload) in enumerate(shipped):
                     self.eval_stats.add(triple[2])
                     if payload:
-                        attrs = {"candidate": keys[i][:16]} \
-                            if keys is not None else None
-                        self.tracer.adopt(payload, root_attrs=attrs)
+                        self.tracer.adopt(
+                            payload, root_attrs={"candidate": keys[i][:16]})
                     scored.append(triple)
                 return scored
         scored = [_score_one(self._ctx, b, self._region_cache,
-                             self.tracer,
-                             keys[i] if keys is not None else None)
-                  for i, b in enumerate(behaviors)]
+                             self.tracer, key)
+                  for b, key in zip(behaviors, keys)]
         for _result, _score, st in scored:
             self.eval_stats.add(st)
         return scored

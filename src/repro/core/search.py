@@ -27,7 +27,7 @@ Each :meth:`TransformSearch.run` draws from a fresh
 ``random.Random(config.seed)``, so repeated or concurrent runs with the
 same seed reproduce the same trajectory regardless of backend — and the
 greedy strategy reproduces the pre-strategy-layer monolithic loop byte
-for byte (:mod:`repro.search.reference` is the frozen oracle).
+for byte (``tests/search/`` pins it against a frozen copy of that loop).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..cdfg.regions import Behavior
 from ..errors import ReproError, SearchError
 from ..hw import Allocation, Library
 from ..obs.trace import NULL_TRACER, AnyTracer
-from ..rewrite.driver import RewriteDriver, RewriteStats
+from ..rewrite.driver import RewriteDriver
 from ..sched.types import BranchProbs, SchedConfig
 from ..transforms.base import TransformLibrary
 from .engine import Evaluated, EvaluationEngine
@@ -52,13 +52,12 @@ __all__ = ["Evaluated", "SearchConfig", "SearchResult", "TransformSearch",
            "expand_candidates"]
 
 
-def expand_candidates(transforms: TransformLibrary,
+def expand_candidates(driver: RewriteDriver,
                       seeds: Sequence[Tuple[Behavior, Tuple[str, ...]]],
                       rng: random.Random, *,
                       max_per_seed: int,
                       hot_nodes: Optional[Set[int]] = None,
                       fresh_from: int = 0,
-                      driver: Optional[RewriteDriver] = None,
                       tracer: AnyTracer = NULL_TRACER
                       ) -> List[Tuple[Behavior, Tuple[str, ...]]]:
     """Apply candidate transformations to every seed behavior.
@@ -71,12 +70,11 @@ def expand_candidates(transforms: TransformLibrary,
     ``Behavior_set`` as (behavior, lineage) pairs in deterministic
     enumeration order, ready for batch evaluation.
 
-    With a ``driver``, enumeration goes through the memoizing
+    Enumeration goes through the memoizing
     :class:`~repro.rewrite.driver.RewriteDriver` (incremental
-    re-enumeration for children it applied) and children carry rewrite
-    provenance for the engine's pair memoization.  Both paths present
-    candidates in the canonical (transform, footprint, fingerprint)
-    order, so trajectories are identical driver or not.
+    re-enumeration for children it applied), which presents candidates
+    in the canonical (transform, footprint, fingerprint) order; children
+    carry rewrite provenance for the engine's pair memoization.
 
     With a ``tracer``, every applied transformation instance is recorded
     as an ``apply`` span (the sampling and filtering decisions are pure
@@ -84,11 +82,7 @@ def expand_candidates(transforms: TransformLibrary,
     """
     out: List[Tuple[Behavior, Tuple[str, ...]]] = []
     for behavior, lineage in seeds:
-        if driver is not None:
-            candidates = driver.candidates(behavior)
-        else:
-            candidates = sorted(transforms.candidates(behavior),
-                                key=lambda c: c.sort_key)
+        candidates = driver.candidates(behavior)
         if hot_nodes is not None:
             candidates = [
                 c for c in candidates
@@ -99,10 +93,7 @@ def expand_candidates(transforms: TransformLibrary,
         for cand in candidates:
             with tracer.span("apply", transform=cand.transform) as span:
                 try:
-                    if driver is not None:
-                        transformed = driver.apply(behavior, cand)
-                    else:
-                        transformed = cand.apply(behavior)
+                    transformed = driver.apply(behavior, cand)
                 except ReproError as err:
                     span.set(inapplicable=type(err).__name__)
                     continue
@@ -120,8 +111,7 @@ class SearchConfig:
     ``k(outer) = k0 + k_step × outer`` is the paper's monotonically
     increasing selection-pressure parameter.  ``workers`` selects the
     evaluation backend (0/1 serial, >= 2 a process pool; ``None`` defers
-    to the ``REPRO_WORKERS`` environment variable); ``cache_size``
-    bounds the evaluation memoization cache (0 disables it).
+    to the ``REPRO_WORKERS`` environment variable).
 
     ``strategy`` selects the search strategy (``"greedy"``, ``"macro"``
     or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md);
@@ -143,7 +133,6 @@ class SearchConfig:
     max_candidates_per_seed: int = 64
     seed: int = 0
     workers: Optional[int] = None
-    cache_size: int = 4096
     strategy: str = "greedy"
     macro_depth: int = 2
     macro_limit: int = 8
@@ -243,7 +232,6 @@ class TransformSearch:
             sched_config=self.sched_config,
             branch_probs=self.branch_probs,
             workers=self.config.workers,
-            cache_size=self.config.cache_size,
             region_cache=self.region_cache,
             tracer=self.tracer)
 
@@ -347,21 +335,21 @@ class TransformSearch:
         """Expansion hook handed to strategies (docs/search.md).
 
         ``factory(depth)`` returns an expander closing over this
-        search's transform library, rewrite driver, hot-node focus and
-        tracer.  Depth 1 is plain one-step expansion (the strategy's
-        RNG is consumed exactly as the monolithic loop consumed the run
-        RNG); depth >= 2 appends dependent macro chains, which consume
-        no RNG, so a macro trajectory shares greedy's RNG stream.
+        search's rewrite driver, hot-node focus and tracer.  Depth 1 is
+        plain one-step expansion (the strategy's RNG is consumed
+        exactly as the monolithic loop consumed the run RNG); depth >= 2
+        appends dependent macro chains, which consume no RNG, so a macro
+        trajectory shares greedy's RNG stream.
         """
         def factory(depth: int):
             def expander(seeds, rng):
                 pairs = expand_candidates(
-                    self.transforms, seeds, rng,
+                    self.driver, seeds, rng,
                     max_per_seed=self.config.max_candidates_per_seed,
                     hot_nodes=self.hot_nodes,
                     fresh_from=self._fresh_from
                     if self._fresh_from is not None else 0,
-                    driver=self.driver, tracer=tracer)
+                    tracer=tracer)
                 if depth >= 2:
                     from ..search.macro import expand_macro_chains
                     pairs.extend(expand_macro_chains(

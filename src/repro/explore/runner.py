@@ -80,9 +80,9 @@ class ExploreConfig:
     """Tuning knobs for one exploration run.
 
     ``search`` is the budget handed to the warm-start single-objective
-    searches (default: a :class:`SearchConfig` sharing ``seed`` /
-    ``workers`` / ``cache_size``); everything else shapes the
-    multi-objective loop itself.
+    searches (default: a :class:`SearchConfig` sharing ``seed`` and
+    ``workers``); everything else shapes the multi-objective loop
+    itself.
     """
 
     generations: int = 4
@@ -90,7 +90,6 @@ class ExploreConfig:
     max_candidates_per_seed: int = 24
     seed: int = 0
     workers: Optional[int] = None
-    cache_size: int = 4096
     warm_start: bool = True
     #: Which single-objective searches seed the front.  The service
     #: layer runs each as its own shard (``warm_start_objectives=
@@ -113,9 +112,7 @@ class ExploreConfig:
         """The warm-start budget (explicit, or derived from the knobs)."""
         if self.search is not None:
             return self.search
-        return SearchConfig(
-            seed=self.seed, workers=self.workers,
-            cache_size=self.cache_size)
+        return SearchConfig(seed=self.seed, workers=self.workers)
 
     def identity(self) -> Tuple:
         """Everything that shapes the search trajectory (for the run
@@ -214,8 +211,8 @@ class ExploreRunner:
         engine = EvaluationEngine(
             self.library, self.allocation, Objective(THROUGHPUT),
             sched_config=cfg.sched, branch_probs=self.branch_probs,
-            workers=cfg.workers, cache_size=cfg.cache_size,
-            region_cache=self._region_cache(), tracer=self.tracer)
+            workers=cfg.workers, region_cache=self._region_cache(),
+            tracer=self.tracer)
         telemetry = ExploreTelemetry(backend=engine.backend,
                                      workers=max(engine.workers, 1),
                                      store=self.store.stats,
@@ -266,9 +263,8 @@ class ExploreRunner:
                                  for p in population
                                  if p.behavior is not None]
                         pairs = expand_candidates(
-                            self.transforms, seeds, rng,
+                            self.driver, seeds, rng,
                             max_per_seed=cfg.max_candidates_per_seed,
-                            driver=self.driver,
                             tracer=self.tracer)
                         points, scheduled = self._evaluate_pairs(
                             pairs, engine, baseline_length)

@@ -17,7 +17,7 @@ interp-stg         interpreter semantics vs. scheduled-STG statistics:
                    traces execute trap-free, the STG validates, and the
                    closed-form Markov average length agrees with a
                    seeded Monte-Carlo walk of the same chain
-enum-parity        legacy ``TransformLibrary.candidates`` scan vs.
+enum-parity        plain ``TransformLibrary.candidates`` scan vs.
                    ``RewriteDriver`` (incremental) enumeration — same
                    canonically-ordered candidate set, also after an
                    apply step re-enumerates incrementally (against a
@@ -29,19 +29,15 @@ sched-incremental  a fresh scheduler and a shared region cache, cold
                    states, labels, ops, transitions and average length
 engine-backend     serial vs. process-pool evaluation engines score the
                    behavior identically
-search-parity      the strategy layer's default ``greedy`` strategy
-                   reproduces the frozen legacy search loop
-                   (``repro.search.reference``) — best score, lineage,
-                   history and counters — and the portfolio strategy's
-                   winning design preserves interpreter semantics on
-                   shared traces
+search-parity      the portfolio strategy's winning design preserves
+                   interpreter semantics on shared traces
 =================  =====================================================
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cdfg.interp import execute
@@ -227,7 +223,7 @@ def _candidate_signature(cands) -> List[Tuple]:
 
 
 def oracle_enum_parity(ctx: OracleContext) -> Optional[str]:
-    """Legacy scan == incremental driver, before and after an apply."""
+    """Plain scan == incremental driver, before and after an apply."""
     library = default_library()
     legacy = sorted(library.candidates(ctx.behavior),
                     key=lambda c: c.sort_key)
@@ -339,7 +335,7 @@ def oracle_engine_backend(ctx: OracleContext) -> Optional[str]:
     for label, workers in (("serial", 0), ("pool", max(2, ctx.workers))):
         engine = EvaluationEngine(
             ctx.hw_library, ctx.allocation, objective,
-            ctx.sched_config, probs, workers=workers, cache_size=0)
+            ctx.sched_config, probs, workers=workers)
         try:
             scores[label] = engine.evaluate(ctx.behavior).score
         finally:
@@ -351,63 +347,24 @@ def oracle_engine_backend(ctx: OracleContext) -> Optional[str]:
 
 
 def oracle_search_parity(ctx: OracleContext) -> Optional[str]:
-    """The strategy layer reproduces the legacy search, and richer
-    strategies stay semantics-preserving.
+    """The portfolio strategy's winning design executes identically to
+    the input behavior on shared traces: racing must never surface a
+    semantics-breaking design, whatever its score.
 
-    Two claims.  First, ``TransformSearch`` running the default
-    ``greedy`` strategy equals :func:`repro.search.reference.
-    reference_search` — the legacy loop frozen verbatim before the
-    strategy refactor — on best score, lineage, full history and
-    generation/evaluation counts.  Second, the portfolio strategy's
-    winning design still executes identically to the input behavior on
-    shared traces (racing must never surface a semantics-breaking
-    design, whatever its score).
+    (The greedy-strategy twin check against the frozen pre-refactor
+    loop lives in ``tests/search/test_strategy.py``.)
     """
     if ctx.try_schedule() is None:
         return None  # path explosion: agreed capacity limit, skip
     from ..core.search import SearchConfig, TransformSearch
-    from ..search.reference import reference_search
-    probs = ctx.branch_probs()
-    objective = Objective(THROUGHPUT)
-    transforms = default_library()
     cfg = SearchConfig(max_outer_iters=2, max_moves=1,
-                       max_candidates_per_seed=6,
-                       seed=ctx.seed, workers=0)
-
-    try:
-        got = TransformSearch(
-            transforms, ctx.hw_library, ctx.allocation, objective,
-            sched_config=ctx.sched_config, branch_probs=probs,
-            config=cfg).run(ctx.behavior)
-        want = reference_search(
-            transforms, ctx.hw_library, ctx.allocation, objective,
-            ctx.behavior, sched_config=ctx.sched_config,
-            branch_probs=probs, config=cfg)
-    except ScheduleError as exc:
-        if _is_path_explosion(exc):
-            return None
-        raise
-    if got.best.score != want.best.score:
-        return (f"greedy best score {got.best.score!r} != reference "
-                f"{want.best.score!r}")
-    if got.best.lineage != want.best.lineage:
-        return (f"greedy lineage {got.best.lineage} != reference "
-                f"{want.best.lineage}")
-    if got.history != want.history:
-        return (f"greedy history diverged: "
-                f"{_first_diff_scalar(want.history, got.history)}")
-    if (got.generations, got.evaluated_count) != \
-            (want.generations, want.evaluated_count):
-        return (f"greedy counters ({got.generations}, "
-                f"{got.evaluated_count}) != reference "
-                f"({want.generations}, {want.evaluated_count})")
-
-    pcfg = replace(cfg, strategy="portfolio", portfolio_size=3)
+                       max_candidates_per_seed=6, seed=ctx.seed,
+                       workers=0, strategy="portfolio", portfolio_size=3)
     try:
         portfolio = TransformSearch(
-            transforms, ctx.hw_library, ctx.allocation, objective,
-            sched_config=ctx.sched_config, branch_probs=probs,
-            config=pcfg).run(ctx.behavior)
+            default_library(), ctx.hw_library, ctx.allocation,
+            Objective(THROUGHPUT), sched_config=ctx.sched_config,
+            branch_probs=ctx.branch_probs(), config=cfg).run(ctx.behavior)
     except ScheduleError as exc:
         if _is_path_explosion(exc):
             return None
@@ -428,13 +385,6 @@ def oracle_search_parity(ctx: OracleContext) -> Optional[str]:
             return (f"portfolio best {portfolio.best.lineage}: trace "
                     f"{i} final memory diverged")
     return None
-
-
-def _first_diff_scalar(expect: List[float], got: List[float]) -> str:
-    for i, (a, b) in enumerate(zip(expect, got)):
-        if a != b:
-            return f"first diff at {i}: {a!r} != {b!r}"
-    return f"length mismatch {len(expect)} != {len(got)}"
 
 
 #: Oracle registry, in execution order.  ``engine-backend`` spawns a

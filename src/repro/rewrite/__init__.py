@@ -14,8 +14,7 @@ This package splits every behavioral transformation into
 See ``docs/transformations.md`` for the authoring guide.
 """
 
-from .pattern import (GLOBAL, LOCAL, Match, RewritePattern,
-                      supports_pattern_api)
+from .pattern import GLOBAL, LOCAL, Match, RewritePattern
 from .analyses import AnalysisManager
 from .driver import RewriteDriver, RewriteStats
 
@@ -24,7 +23,6 @@ __all__ = [
     "LOCAL",
     "Match",
     "RewritePattern",
-    "supports_pattern_api",
     "AnalysisManager",
     "RewriteDriver",
     "RewriteStats",

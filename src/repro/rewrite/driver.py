@@ -1,8 +1,9 @@
 """Incremental candidate-enumeration driver.
 
-The legacy path re-ran every transformation's full-behavior scan for
-every seed of every generation.  :class:`RewriteDriver` converts that
-into footprint-proportional work with two mechanisms:
+A plain scan (:meth:`~repro.transforms.base.TransformLibrary.candidates`)
+re-runs every transformation's full-behavior match for every seed of
+every generation.  :class:`RewriteDriver` converts that into
+footprint-proportional work with two mechanisms:
 
 * **memoization** — enumeration results are cached per behavior, keyed
   on the *raw* (id-sensitive) fingerprint.  Seeds that survive between
@@ -27,10 +28,7 @@ Soundness notes:
 * a carried match's dependency set was computed on the parent, but its
   nodes are untouched in the child, so recomputing it there would give
   the same answer — carrying the set forward keeps grandchild
-  invalidation exact;
-* legacy transformations (``find()`` overriders) still benefit from
-  memoization: a raw-fingerprint hit implies identical node ids, so
-  their closure-based candidates remain valid.
+  invalidation exact.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from ..core.evalcache import EvalCache, cached_raw_fingerprint
 from ..errors import ReproError
 from ..obs.trace import NULL_TRACER, Tracer
 from .analyses import AnalysisManager
-from .pattern import LOCAL, Match, RewritePattern, supports_pattern_api
+from .pattern import LOCAL, Match, RewritePattern
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cdfg.regions import Behavior
@@ -60,7 +58,6 @@ class RewriteStats:
     incremental_scans: int = 0
     carried_matches: int = 0
     rescanned_matches: int = 0
-    legacy_finds: int = 0
     applies: int = 0
     enum_seconds: float = 0.0
     apply_seconds: float = 0.0
@@ -130,28 +127,25 @@ class RewriteDriver:
         return self._cache.stats
 
     # -- application ---------------------------------------------------
-    def apply(self, behavior: "Behavior", candidate: "Candidate", *,
-              validate: bool = True, hygiene: bool = True) -> "Behavior":
+    def apply(self, behavior: "Behavior",
+              candidate: "Candidate") -> "Behavior":
         """Apply ``candidate`` and record provenance on the child.
 
         The child is annotated with ``_rw_parent`` (parent raw
-        fingerprint + dirty set) for incremental enumeration, and — for
-        match-backed candidates — ``_rw_pair`` (parent raw fingerprint ×
-        match fingerprint) for the engine's pair memoization.
+        fingerprint + dirty set) for incremental enumeration, and
+        ``_rw_pair`` (parent raw fingerprint × match fingerprint) for
+        the engine's pair memoization.
         """
         from ..transforms.base import apply_candidate
         t0 = time.perf_counter()
         parent_fp = cached_raw_fingerprint(behavior)
         try:
-            child, dirty = apply_candidate(candidate, behavior,
-                                           validate=validate,
-                                           hygiene=hygiene)
+            child, dirty = apply_candidate(candidate, behavior)
         finally:
             self.stats.applies += 1
             self.stats.apply_seconds += time.perf_counter() - t0
         child._rw_parent = (parent_fp, dirty)
-        if candidate.match is not None:
-            child._rw_pair = (parent_fp, candidate.match.fingerprint)
+        child._rw_pair = (parent_fp, candidate.match.fingerprint)
         return child
 
     # -- enumeration ---------------------------------------------------
@@ -274,10 +268,6 @@ class RewriteDriver:
             matches: Dict[str, _MatchList] = {}
             domains: Dict[str, Optional[FrozenSet[int]]] = {}
             for t in self.library.transformations:
-                if not supports_pattern_api(t):
-                    self.stats.legacy_finds += 1
-                    candidates.extend(t.find(behavior))
-                    continue
                 pairs: Optional[_MatchList] = None
                 if parent is not None and t.name in parent.matches:
                     if t.scope == LOCAL:
@@ -301,8 +291,7 @@ class RewriteDriver:
                 matches[t.name] = pairs
                 domains[t.name] = (t.domain(behavior, analyses)
                                    if t.scope != LOCAL else None)
-                candidates.extend(Candidate.from_match(t, m)
-                                  for m, _ in pairs)
+                candidates.extend(Candidate(t, m) for m, _ in pairs)
             candidates.sort(key=lambda c: c.sort_key)
         return _Entry(candidates, matches, domains, structure_key)
 

@@ -1,10 +1,9 @@
 """`Match` records and the `RewritePattern` base class.
 
-A :class:`Match` is the declarative replacement for the old
-closure-based ``Candidate.mutate``: it names the pattern that produced
-it, the node ids it will touch (``footprint``), and a picklable
-``params`` tuple with everything ``apply()`` needs to re-find the
-rewrite site.  Because a match carries no closures it can be hashed,
+A :class:`Match` is a declarative rewrite record: it names the pattern
+that produced it, the node ids it will touch (``footprint``), and a
+picklable ``params`` tuple with everything ``apply()`` needs to re-find
+the rewrite site.  Because a match carries no closures it can be hashed,
 deduplicated across lineages, cached by the enumeration driver, and
 shipped to pool workers.
 
@@ -187,11 +186,3 @@ class RewritePattern:
         (the driver falls back to a full rescan).
         """
         return None
-
-
-def supports_pattern_api(transform: object) -> bool:
-    """True when ``transform`` implements the pattern API (rather than
-    only the legacy ``find()`` scan)."""
-    cls = type(transform)
-    return (cls.match is not RewritePattern.match
-            or cls.match_at is not RewritePattern.match_at)

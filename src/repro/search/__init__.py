@@ -10,9 +10,7 @@ strategies (this package — decide what to evaluate and what to keep):
 * macro-moves (:mod:`repro.search.macro`) — the same loop over a
   neighborhood extended with dependent rewrite *chains*;
 * :class:`~repro.search.portfolio.PortfolioStrategy` — several
-  configurations racing under one engine with budget arbitration;
-* :mod:`repro.search.reference` — the frozen legacy loop, kept as the
-  differential oracle.
+  configurations racing under one engine with budget arbitration.
 
 See ``docs/search.md`` for the protocol and recipes.
 """
@@ -24,14 +22,12 @@ from typing import Callable
 from ..errors import SearchError
 from .macro import compose_lineage, expand_macro_chains
 from .portfolio import PortfolioStrategy, default_members
-from .reference import ReferenceResult, reference_search
 from .strategy import Expander, GreedyStrategy, Proposal, SearchStrategy
 
 __all__ = [
     "Expander", "GreedyStrategy", "PortfolioStrategy", "Proposal",
-    "ReferenceResult", "SearchStrategy", "STRATEGIES",
-    "compose_lineage", "default_members", "expand_macro_chains",
-    "make_strategy", "reference_search",
+    "SearchStrategy", "STRATEGIES", "compose_lineage", "default_members",
+    "expand_macro_chains", "make_strategy",
 ]
 
 #: Recognized ``SearchConfig.strategy`` / ``--strategy`` values.

@@ -14,8 +14,8 @@ fixed seed it consumes the run RNG in exactly the order the monolithic
 loop did (``rng.sample`` during expansion only when a seed's candidate
 list overflows, then one ``rng.random()`` per ``In_set`` pick), so its
 trajectories, histories and Pareto fronts are byte-identical to the
-pre-refactor search — enforced by tests, the ``search-parity`` fuzz
-oracle and ``benchmarks/bench_search_quality.py``.
+pre-refactor search — ``tests/search/test_strategy.py`` enforces this
+against a frozen copy of the old loop on bench and generated circuits.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ __all__ = ["Expander", "GreedyStrategy", "Proposal", "SearchStrategy"]
 
 #: Expansion hook handed to strategies by the harness: maps a list of
 #: (behavior, lineage) seeds plus the strategy's RNG to the next
-#: ``Behavior_set``.  The harness binds the transform library, rewrite
-#: driver, hot-node focus and tracer; the strategy owns the RNG so that
-#: seeded trajectories are a property of the strategy alone.
+#: ``Behavior_set``.  The harness binds the rewrite driver, hot-node
+#: focus and tracer; the strategy owns the RNG so that seeded
+#: trajectories are a property of the strategy alone.
 Expander = Callable[[Sequence[Tuple[Behavior, Tuple[str, ...]]],
                      random.Random],
                     List[Tuple[Behavior, Tuple[str, ...]]]]

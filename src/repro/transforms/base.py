@@ -10,19 +10,17 @@ contract the FACT search loop (paper Figure 6) relies on: candidates
 from one generation can be applied independently to produce the next
 ``Behavior_set``.
 
-:class:`Candidate` survives as a thin adapter over a pattern/match pair
-for backward compatibility (and for legacy user transformations that
-still override ``find()`` with closure-based mutators).
+:class:`Candidate` pairs a pattern with one of its matches.
+:class:`TransformLibrary` only accepts transformations that implement
+the pattern API (``match`` or ``match_at``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import FrozenSet, Iterable, List, Tuple
 
-from ..cdfg.ir import _digest
-from ..cdfg.regions import Behavior, BlockRegion, LoopRegion
+from ..cdfg.regions import Behavior
 from ..cdfg.validate import validate_behavior
 from ..errors import TransformError
 from ..rewrite.pattern import Match, RewritePattern
@@ -31,80 +29,47 @@ from .cleanup import dead_code_elimination
 
 @dataclass
 class Candidate:
-    """One applicable transformation instance.
+    """One applicable transformation instance: a pattern and one of its
+    matches.
 
-    Pattern-produced candidates carry ``pattern``/``match`` and no
-    closure; legacy candidates carry a ``mutate`` closure.  Exactly one
-    of the two must be set.
-
-    Attributes:
-        transform: name of the transformation that produced it.
-        description: human-readable site description ("fold add #12").
-        mutate: legacy closure mutating a *copy* of the behavior.
-        sites: CDFG node ids the rewrite touches; the FACT driver uses
-            them to focus the search on hot STG blocks (Section 4.1).
-            Mandatory for pattern candidates (it is the match
-            footprint); a candidate with no sites never matches a hot
-            set.
-        pattern: the producing :class:`RewritePattern`, when match-based.
-        match: the :class:`Match` this candidate adapts, when match-based.
+    ``sites`` (the match footprint) are the CDFG node ids the rewrite
+    touches; the FACT driver uses them to focus the search on hot STG
+    blocks (Section 4.1).
     """
 
-    transform: str
-    description: str
-    mutate: Optional[Callable[[Behavior], None]] = None
-    sites: Tuple[int, ...] = ()
-    pattern: Optional[RewritePattern] = None
-    match: Optional[Match] = None
+    pattern: RewritePattern
+    match: Match
 
-    @classmethod
-    def from_match(cls, pattern: RewritePattern,
-                   match: Match) -> "Candidate":
-        return cls(transform=match.pattern, description=match.description,
-                   mutate=None, sites=match.footprint, pattern=pattern,
-                   match=match)
+    @property
+    def transform(self) -> str:
+        """Name of the transformation that produced the match."""
+        return self.match.pattern
 
-    def touches(self, hot: Iterable[int]) -> bool:
-        """True if any declared site lies in ``hot``.
+    @property
+    def description(self) -> str:
+        """Human-readable site description ("fold add #12")."""
+        return self.match.description
 
-        A candidate with an empty ``sites`` tuple matches *no* hot set:
-        the old permissive default ("unknown sites match anything")
-        silently defeated hot-block focusing for any transform that
-        forgot to report sites.
-        """
-        if not self.sites:
-            return False
-        hot_set = hot if isinstance(hot, (set, frozenset)) else set(hot)
-        return any(s in hot_set for s in self.sites)
+    @property
+    def sites(self) -> Tuple[int, ...]:
+        return self.match.footprint
 
     @property
     def fingerprint(self) -> str:
-        """Stable content hash (match fingerprint when available)."""
-        if self.match is not None:
-            return self.match.fingerprint
-        payload = repr((self.transform, self.description,
-                        tuple(sorted(self.sites))))
-        return _digest(payload.encode()).hexdigest()
+        """Stable content hash of the match."""
+        return self.match.fingerprint
 
     @property
     def sort_key(self) -> Tuple[str, Tuple[int, ...], str]:
-        """Canonical enumeration order: (transform, sorted sites,
+        """Canonical enumeration order: (transform, footprint,
         fingerprint)."""
-        return (self.transform, tuple(sorted(self.sites)), self.fingerprint)
+        return self.match.sort_key
 
-    def _mutate_into(self, out: Behavior) -> None:
-        if self.match is not None:
-            assert self.pattern is not None
-            self.pattern.apply(out, self.match)
-        elif self.mutate is not None:
-            self.mutate(out)
-        else:
-            raise TransformError(
-                f"candidate {self.description!r} has neither a match nor "
-                f"a mutate closure")
+    def touches(self, hot: Iterable[int]) -> bool:
+        """True if any site lies in ``hot``."""
+        return self.match.touches(hot)
 
-    def apply(self, behavior: Behavior, validate: bool = True,
-              hygiene: bool = True) -> Behavior:
+    def apply(self, behavior: Behavior) -> Behavior:
         """Apply to a fresh copy of ``behavior`` and return the result.
 
         Graph hygiene (dead-code elimination plus common-subexpression
@@ -113,16 +78,14 @@ class Candidate:
         lets repeated tree balancing converge to parallel-prefix-style
         networks instead of exploding the operation count.
         """
-        out, _ = apply_candidate(self, behavior, validate=validate,
-                                 hygiene=hygiene)
+        out, _ = apply_candidate(self, behavior)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Candidate({self.transform}: {self.description})"
 
 
-def apply_candidate(candidate: Candidate, behavior: Behavior, *,
-                    validate: bool = True, hygiene: bool = True
+def apply_candidate(candidate: Candidate, behavior: Behavior
                     ) -> Tuple[Behavior, FrozenSet[int]]:
     """Apply ``candidate`` to a copy of ``behavior``.
 
@@ -132,28 +95,23 @@ def apply_candidate(candidate: Candidate, behavior: Behavior, *,
     incremental driver uses ``dirty`` to decide which cached matches
     survive into the child.
     """
+    from .cse import merge_duplicates_inplace
     out = behavior.copy()
     mark = out.graph.journal_mark()
-    candidate._mutate_into(out)
+    candidate.pattern.apply(out, candidate.match)
     dead_code_elimination(out)
-    if hygiene:
-        from .cse import merge_duplicates_inplace
-        merge_duplicates_inplace(out)
-        dead_code_elimination(out)
-    if validate:
-        validate_behavior(out)
+    merge_duplicates_inplace(out)
+    dead_code_elimination(out)
+    validate_behavior(out)
     return out, frozenset(out.graph.touched_since(mark))
 
 
 class Transformation(RewritePattern):
     """A family of behavior-preserving rewrites.
 
-    New-style subclasses implement the :class:`RewritePattern` API
-    (``match``/``match_at`` + ``apply``); the inherited :meth:`find`
-    adapts matches into :class:`Candidate` objects.  Legacy subclasses
-    may instead override :meth:`find` directly and keep producing
-    closure-based candidates — the driver detects the difference and
-    falls back to a (memoized) full ``find`` scan for them.
+    Subclasses implement the :class:`RewritePattern` API
+    (``match``/``match_at`` + ``apply``); :meth:`find` wraps a full
+    ``match`` scan into :class:`Candidate` objects.
     """
 
     #: Short identifier used in reports and search logs.
@@ -163,8 +121,20 @@ class Transformation(RewritePattern):
         """Enumerate applicable candidates on ``behavior``."""
         from ..rewrite.analyses import AnalysisManager
         analyses = AnalysisManager(behavior)
-        return [Candidate.from_match(self, m)
-                for m in self.match(behavior, analyses)]
+        return [Candidate(self, m) for m in self.match(behavior, analyses)]
+
+
+def _check_pattern_api(transformations: Iterable[Transformation]) -> None:
+    """Reject transformations implementing neither ``match`` nor
+    ``match_at`` (e.g. ones that only override ``find``)."""
+    bad = [t.name for t in transformations
+           if type(t).match is RewritePattern.match
+           and type(t).match_at is RewritePattern.match_at]
+    if bad:
+        raise TransformError(
+            f"transformation(s) {', '.join(map(repr, bad))} implement "
+            f"neither match() nor match_at(); every transformation must "
+            f"use the pattern API (docs/transformations.md)")
 
 
 @dataclass
@@ -174,24 +144,28 @@ class TransformLibrary:
     The default contents are created by
     :func:`repro.transforms.default_library`; user-defined
     transformations can be appended ("other transformations can easily
-    be incorporated within the framework").
+    be incorporated within the framework").  Construction and
+    :meth:`add` raise :class:`~repro.errors.TransformError` for a
+    transformation that does not implement the pattern API.
     """
 
     transformations: List[Transformation] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        _check_pattern_api(self.transformations)
+
     def add(self, transformation: Transformation) -> "TransformLibrary":
+        _check_pattern_api([transformation])
         self.transformations.append(transformation)
         return self
 
     def names(self) -> List[str]:
         return [t.name for t in self.transformations]
 
-    def candidates(self, behavior: Behavior,
-                   only: Optional[Sequence[str]] = None) -> List[Candidate]:
-        """All candidates over the behavior, optionally filtered by name."""
+    def candidates(self, behavior: Behavior) -> List[Candidate]:
+        """All candidates over the behavior (a full scan per
+        transformation)."""
         out: List[Candidate] = []
         for t in self.transformations:
-            if only is not None and t.name not in only:
-                continue
             out.extend(t.find(behavior))
         return out

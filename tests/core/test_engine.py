@@ -6,7 +6,7 @@ from repro.bench import allocation_for
 from repro.bench.circuits import circuit
 from repro.cdfg.ir import Graph, OpKind
 from repro.core import (Fact, FactConfig, Objective, SearchConfig,
-                        THROUGHPUT)
+                        THROUGHPUT, TransformSearch)
 from repro.core.engine import (EvaluationEngine, WORKERS_ENV,
                                resolve_workers)
 from repro.core.evalcache import EvalCache, behavior_fingerprint
@@ -14,6 +14,7 @@ from repro.errors import SearchError
 from repro.hw import dac98_library
 from repro.lang import compile_source
 from repro.profiling import profile, uniform_traces
+from repro.transforms import default_library
 
 LIB = dac98_library()
 
@@ -162,12 +163,12 @@ class TestResolveWorkers:
             resolve_workers(-1)
 
 
-def _gcd_engine(**kw):
+def _gcd_engine():
     beh = compile_source(GCD_SRC)
     traces = uniform_traces(beh, 8, lo=1, hi=60, seed=3)
     probs = profile(beh, traces).branch_probs
     eng = EvaluationEngine(LIB, allocation_for("gcd"), Objective(),
-                           branch_probs=probs, **kw)
+                           branch_probs=probs)
     return beh, eng
 
 
@@ -190,13 +191,70 @@ class TestEvaluationEngine:
         assert out[1].lineage == ("dup",)
         assert eng.stats.hits == 1 and eng.stats.misses == 1
 
-    def test_disabled_cache_never_hits(self):
-        beh, eng = _gcd_engine(cache_size=0)
-        with eng:
-            eng.evaluate(beh)
-            eng.evaluate(beh.copy())
-        assert eng.stats.hits == 0
-        assert eng.stats.misses == 2
+
+def _memo_served_rescores(wrong_entry=False):
+    """Run a seeded gcd search, then re-score every behavior the memo
+    served (``stats is None``: a cache hit or an in-batch duplicate)
+    through a fresh engine.  Returns ``(served, mismatches)``.
+
+    ``wrong_entry`` answers each memo hit with another key's entry
+    (the first one stored), the fault this check exists to catch.
+    """
+    beh = compile_source(GCD_SRC)
+    alloc = allocation_for("gcd")
+    probs = profile(beh, uniform_traces(beh, 8, lo=1, hi=60,
+                                        seed=3)).branch_probs
+    eng = EvaluationEngine(LIB, alloc, Objective(), branch_probs=probs)
+    if wrong_entry:
+        first = {}
+        real_get, real_put = eng.cache.get, eng.cache.put
+
+        def put(key, value):
+            first.setdefault("entry", (key, value))
+            real_put(key, value)
+
+        def get(key):
+            hit = real_get(key)
+            if hit is None or first["entry"][0] == key:
+                return hit
+            return first["entry"][1]
+
+        eng.cache.get, eng.cache.put = get, put
+    served = []
+    batch = eng.evaluate_batch
+
+    def recording_batch(pairs):
+        out = batch(pairs)
+        served.extend(e for e in out if e.stats is None)
+        return out
+
+    eng.evaluate_batch = recording_batch
+    cfg = SearchConfig(max_outer_iters=3, max_moves=2, in_set_size=3,
+                       seed=1, max_candidates_per_seed=24, workers=0)
+    with eng:
+        TransformSearch(default_library(), LIB, alloc, Objective(),
+                        branch_probs=probs, config=cfg,
+                        engine=eng).run(beh)
+    mismatches = []
+    for ev in served:
+        with EvaluationEngine(LIB, alloc, Objective(),
+                              branch_probs=probs) as fresh:
+            score = fresh.evaluate(ev.behavior).score
+        if score != ev.score:
+            mismatches.append((ev.lineage, ev.score, score))
+    return served, mismatches
+
+
+class TestMemoHonesty:
+    def test_served_behaviors_rescore_identically(self):
+        """The memo changes no result: every behavior it serves scores
+        the same when a fresh engine schedules it from scratch — and
+        the check does catch a memo answering with the wrong entry."""
+        served, mismatches = _memo_served_rescores()
+        assert len(served) >= 5
+        assert mismatches == []
+        _, mismatches = _memo_served_rescores(wrong_entry=True)
+        assert mismatches
 
 
 def _run_fact(src_or_circuit, workers, seed=1, iters=2):

@@ -1,10 +1,11 @@
 """Determinism of candidate enumeration and search trajectories.
 
-The refactored enumeration pipeline promises one canonical candidate
-order — (transform name, sorted footprint, match fingerprint) — from
-both the legacy library scan and the rewrite driver, on every backend.
-These tests pin that contract: same-seed searches must replay
-byte-identical trajectories however candidates are enumerated.
+The enumeration pipeline promises one canonical candidate order —
+(transform name, sorted footprint, match fingerprint) — from both the
+plain library scan and the rewrite driver, on every backend.  These
+tests pin that contract: expansion through the driver must match the
+sorted scan applied by hand, and same-seed searches must replay
+byte-identical trajectories.
 """
 
 import json
@@ -14,6 +15,7 @@ from repro.bench import allocation_for
 from repro.core import Objective, SearchConfig, THROUGHPUT, TransformSearch
 from repro.core.evalcache import cached_raw_fingerprint
 from repro.core.search import expand_candidates
+from repro.errors import ReproError
 from repro.hw import dac98_library
 from repro.lang import compile_source
 from repro.rewrite import RewriteDriver
@@ -49,16 +51,32 @@ def _search(seed=3, **cfg_kw):
                            config=config)
 
 
+def _scan_expansion(transforms, behavior, rng, max_per_seed):
+    """Expansion without the driver: the sorted library scan, sampled
+    and applied by hand."""
+    candidates = sorted(transforms.candidates(behavior),
+                        key=lambda c: c.sort_key)
+    if len(candidates) > max_per_seed:
+        candidates = rng.sample(candidates, max_per_seed)
+    out = []
+    for cand in candidates:
+        try:
+            out.append((cand.apply(behavior),
+                        (f"{cand.transform}:{cand.description}",)))
+        except ReproError:
+            continue
+    return out
+
+
 class TestExpandCandidates:
     def test_legacy_and_driver_paths_identical(self):
         behavior = compile_source(GCD_SRC)
         transforms = default_library()
-        seeds = [(behavior, ())]
-        legacy = expand_candidates(transforms, seeds, random.Random(5),
+        legacy = _scan_expansion(transforms, behavior, random.Random(5),
+                                 max_per_seed=64)
+        driven = expand_candidates(RewriteDriver(transforms),
+                                   [(behavior, ())], random.Random(5),
                                    max_per_seed=64)
-        driven = expand_candidates(transforms, seeds, random.Random(5),
-                                   max_per_seed=64,
-                                   driver=RewriteDriver(transforms))
         assert [lin for _, lin in legacy] == [lin for _, lin in driven]
         assert [cached_raw_fingerprint(b) for b, _ in legacy] \
             == [cached_raw_fingerprint(b) for b, _ in driven]
@@ -66,12 +84,12 @@ class TestExpandCandidates:
     def test_sampling_cap_sees_identical_ordering(self):
         behavior = compile_source(GCD_SRC)
         transforms = default_library()
-        seeds = [(behavior, ())]
-        legacy = expand_candidates(transforms, seeds, random.Random(9),
+        legacy = _scan_expansion(transforms, behavior, random.Random(9),
+                                 max_per_seed=3)
+        driven = expand_candidates(RewriteDriver(transforms),
+                                   [(behavior, ())], random.Random(9),
                                    max_per_seed=3)
-        driven = expand_candidates(transforms, seeds, random.Random(9),
-                                   max_per_seed=3,
-                                   driver=RewriteDriver(transforms))
+        assert len(driven) == 3
         assert [lin for _, lin in legacy] == [lin for _, lin in driven]
 
 

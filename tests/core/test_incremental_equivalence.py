@@ -90,10 +90,8 @@ def test_transform_scores_identically(transform):
     transformed = cand.apply(beh)
 
     def engine():
-        # cache_size=0: force actual scheduling, not behavior-cache hits.
         return EvaluationEngine(LIB, alloc, Objective(),
-                                sched_config=sched, branch_probs=probs,
-                                cache_size=0)
+                                sched_config=sched, branch_probs=probs)
 
     with engine() as warm:
         for b in (beh, transformed):
@@ -105,6 +103,8 @@ def test_transform_scores_identically(transform):
             if a.result is not None:
                 assert (a.result.stg.to_dot()
                         == e.result.stg.to_dot())
+        # Both behaviors were scheduled, not served from the memo.
+        assert warm.stats.hits == 0
 
 
 def _search(name, workers=0, seed=3, objective=THROUGHPUT,

@@ -92,23 +92,23 @@ class TestIncrementalParity:
                 == sort_keys(full.candidates(child)), cand.description
 
     def test_grandchildren_match_full_rescan(self):
-        beh = circuit("test2").behavior()
+        """Carry stays exact over three generations of incremental
+        re-enumeration: children, grandchildren, great-grandchildren."""
+        parent = circuit("test2").behavior()
         inc, full = fresh_pair()
-        child = None
-        for cand in inc.candidates(beh):
-            try:
-                child = inc.apply(beh, cand)
-                break
-            except ReproError:
-                continue
-        assert child is not None
-        for cand in inc.candidates(child)[:6]:
-            try:
-                grandchild = inc.apply(child, cand)
-            except ReproError:
-                continue
-            assert sort_keys(inc.candidates(grandchild)) \
-                == sort_keys(full.candidates(grandchild)), cand.description
+        for generation in ("child", "grandchild", "great-grandchild"):
+            children = []
+            for cand in inc.candidates(parent)[:6]:
+                try:
+                    child = inc.apply(parent, cand)
+                except ReproError:
+                    continue
+                assert sort_keys(inc.candidates(child)) \
+                    == sort_keys(full.candidates(child)), \
+                    (generation, cand.description)
+                children.append(child)
+            assert children, generation
+            parent = children[0]
 
 
 class TestDomainCarry:

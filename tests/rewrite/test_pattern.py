@@ -5,10 +5,9 @@ import pickle
 import pytest
 
 from repro.errors import TransformError
-from repro.rewrite import (GLOBAL, LOCAL, Match, RewritePattern,
-                           supports_pattern_api)
+from repro.rewrite import GLOBAL, LOCAL, Match, RewritePattern
 from repro.transforms import default_library
-from repro.transforms.base import Transformation
+from repro.transforms.base import TransformLibrary, Transformation
 
 
 class TestMatch:
@@ -51,7 +50,7 @@ class _LegacyOnly(Transformation):
         return []
 
 
-class _LocalToy(RewritePattern):
+class _LocalToy(Transformation):
     name = "toy"
     scope = LOCAL
 
@@ -60,12 +59,20 @@ class _LocalToy(RewritePattern):
 
 
 class TestRewritePatternDefaults:
-    def test_supports_pattern_api_for_whole_library(self):
-        for t in default_library().transformations:
-            assert supports_pattern_api(t), t.name
+    def test_library_accepts_every_shipped_transformation(self):
+        shipped = default_library().transformations
+        assert TransformLibrary(list(shipped)).names() \
+            == [t.name for t in shipped]
 
-    def test_legacy_find_overrider_not_pattern_api(self):
-        assert not supports_pattern_api(_LegacyOnly())
+    def test_find_only_transformation_rejected(self):
+        """A transformation implementing neither match() nor match_at()
+        fails when the library is built or extended, not mid-search."""
+        with pytest.raises(TransformError, match="'legacy_only'"):
+            TransformLibrary([_LocalToy(), _LegacyOnly()])
+        library = TransformLibrary([_LocalToy()])
+        with pytest.raises(TransformError, match="'legacy_only'"):
+            library.add(_LegacyOnly())
+        assert library.names() == ["toy"]
 
     def test_local_default_match_aggregates_match_at(self):
         from repro.lang import compile_source

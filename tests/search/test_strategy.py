@@ -1,9 +1,9 @@
 """The strategy layer's greedy equals the frozen legacy loop.
 
-``repro.search.reference`` is the pre-refactor ``TransformSearch.run``
-kept verbatim; these tests pin the byte-identity contract the refactor
-ships under — same best, same lineage, same history, same counters,
-serial and pooled.
+``legacy_loop.py`` is the pre-refactor ``TransformSearch.run`` kept
+verbatim; these tests pin the byte-identity contract the refactor ships
+under — same best, same lineage, same history, same counters, serial
+and pooled, on bench circuits and on generated ones.
 """
 
 from dataclasses import replace
@@ -15,13 +15,20 @@ from repro.core.objectives import THROUGHPUT, Objective
 from repro.core.search import (SearchConfig, SearchResult,
                                TransformSearch)
 from repro.errors import SearchError
+from repro.gen.generator import generate, grid_config
+from repro.gen.oracles import context_for
 from repro.hw import dac98_library
 from repro.profiling.profiler import profile
 from repro.search import make_strategy
-from repro.search.reference import reference_search
 from repro.transforms import default_library
 
+from .legacy_loop import reference_search
+
 LIB = dac98_library()
+
+#: Generated circuits for the serial identity test: grid seeds whose
+#: searches take about a second, covering four grid entries.
+GEN_SEEDS = (1, 6, 8, 9)
 
 
 def _probs(name):
@@ -39,6 +46,10 @@ def _cfg(**kw):
 
 def run_both(name, cfg):
     beh, alloc, probs = _probs(name)
+    return _run_both(beh, alloc, probs, cfg)
+
+
+def _run_both(beh, alloc, probs, cfg):
     got = TransformSearch(default_library(), LIB, alloc,
                           Objective(THROUGHPUT), branch_probs=probs,
                           config=cfg).run(beh)
@@ -46,6 +57,16 @@ def run_both(name, cfg):
                             Objective(THROUGHPUT), beh,
                             branch_probs=probs, config=cfg)
     return got, want
+
+
+def _run_generated(seed):
+    """Both loops on a generated circuit, under the configuration the
+    ``search-parity`` fuzz oracle used for its greedy check."""
+    ctx = context_for(generate(seed, grid_config(seed)))
+    cfg = SearchConfig(max_outer_iters=2, max_moves=1,
+                       max_candidates_per_seed=6, seed=seed, workers=0)
+    return _run_both(ctx.behavior, ctx.allocation, ctx.branch_probs(),
+                     cfg)
 
 
 def assert_identical(got, want):
@@ -56,9 +77,13 @@ def assert_identical(got, want):
     assert got.evaluated_count == want.evaluated_count
 
 
-@pytest.mark.parametrize("name", ["gcd", "test2"])
+@pytest.mark.parametrize(
+    "name", ["gcd", "test2"] + [f"gen-{seed}" for seed in GEN_SEEDS])
 def test_greedy_matches_reference_serial(name):
-    got, want = run_both(name, _cfg())
+    if name.startswith("gen-"):
+        got, want = _run_generated(int(name[len("gen-"):]))
+    else:
+        got, want = run_both(name, _cfg())
     assert_identical(got, want)
     assert got.strategy == "greedy"
 

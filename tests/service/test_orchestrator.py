@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.errors import ServiceError
+from repro.explore import RunStore
 from repro.explore.pareto import (DesignMetrics, DesignPoint,
                                   ParetoFront)
 from repro.obs.metrics import MetricsRegistry
@@ -19,7 +20,8 @@ from repro.service.jobs import (JobQueue, JobSpec, JobState, PARETO,
 from repro.service.orchestrator import (CRASH_ENV,
                                         CampaignOrchestrator,
                                         OrchestratorConfig,
-                                        merge_fronts, serve)
+                                        merge_fronts, serve,
+                                        shard_store_root)
 
 GCD = """
 proc gcd(in a, in b, out g) {
@@ -135,6 +137,30 @@ class TestSerialEquivalence:
         assert result.ok
         assert result.front.to_json() == gcd_reference
         assert orch._procs == []  # inline mode spawns no processes
+
+    def test_two_workers_isolated_stores_match_serial(self, tmp_path):
+        """A two-job burst on per-job sub-stores (the federation path):
+        every merged front equals its serial reference, and each job's
+        evaluations are merged into the main store."""
+        specs = [gcd_spec(TINY, seed=seed) for seed in (1, 2)]
+        queue = JobQueue(tmp_path / "queue")
+        records = [queue.submit(spec) for spec in specs]
+        orch = CampaignOrchestrator(
+            queue, records, store=tmp_path / "store",
+            config=OrchestratorConfig(workers=2, poll=0.02, lease=5.0,
+                                      isolate_stores=True))
+        results = orch.run()
+        for spec, record in zip(specs, records):
+            result = results[record.job_id]
+            assert result.ok
+            assert result.front.to_json() == serial_front_json(
+                spec, tmp_path / f"ref-{spec.seed}")
+        merged = {key for key, _ in RunStore(tmp_path / "store").scan()}
+        for record in records:
+            own = {key for key, _ in RunStore(shard_store_root(
+                tmp_path / "store", record.job_id, True)).scan()}
+            assert own and own <= merged
+        assert_no_orphans(orch)
 
     def test_two_workers_match_serial_test2(self, tmp_path):
         from repro.bench import circuit

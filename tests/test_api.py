@@ -79,13 +79,12 @@ class TestReproConfig:
         cfg = repro.ReproConfig(
             sched=SchedConfig(clock=10.0),
             search=repro.SearchConfig(max_outer_iters=2, seed=9),
-            workers=3, cache_size=16)
+            workers=3)
         fact = cfg.resolved()
         assert fact.sched.clock == 10.0
         assert fact.search.max_outer_iters == 2
         assert fact.search.seed == 9
         assert fact.search.workers == 3
-        assert fact.search.cache_size == 16
 
     def test_resolved_does_not_mutate(self):
         cfg = repro.ReproConfig(workers=4)

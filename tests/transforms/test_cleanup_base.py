@@ -5,9 +5,10 @@ import pytest
 from repro.cdfg import BehaviorBuilder, OpKind, execute
 from repro.errors import TransformError
 from repro.lang import compile_source
+from repro.rewrite import LOCAL, Match
 from repro.transforms import (Candidate, TransformLibrary,
                               Transformation, dead_code_elimination,
-                              default_library, merge_duplicates_inplace)
+                              merge_duplicates_inplace)
 
 
 def with_dead_code():
@@ -100,35 +101,38 @@ class TestHygieneCse:
         assert merge_duplicates_inplace(beh) == 0
 
 
+class _Nop(Transformation):
+    """A pattern-API transformation whose rewrite changes nothing."""
+
+    name = "nop"
+    scope = LOCAL
+
+    def match_at(self, behavior, analyses, nid):
+        if behavior.graph.nodes[nid].kind is not OpKind.OUTPUT:
+            return []
+        return [Match(self.name, f"do nothing at #{nid}", (nid,))]
+
+    def apply(self, behavior, match):
+        pass
+
+
 class TestLibraryApi:
-    def test_names_and_filter(self):
-        lib = default_library()
-        assert "distributivity" in lib.names()
-        beh = compile_source(
-            "proc p(in a, in b, in c, out r) { r = a * b - a * c; }")
-        only = lib.candidates(beh, only=["distributivity"])
-        assert only
-        assert all(c.transform == "distributivity" for c in only)
-
     def test_add_custom_transformation(self):
-        class Nop(Transformation):
-            name = "nop"
-
-            def find(self, behavior):
-                return [Candidate("nop", "do nothing",
-                                  lambda b: None)]
-
-        lib = TransformLibrary().add(Nop())
+        lib = TransformLibrary().add(_Nop())
+        assert lib.names() == ["nop"]
         beh = compile_source("proc p(in a, out r) { r = a + a; }")
         cands = lib.candidates(beh)
         assert len(cands) == 1
+        assert cands[0].transform == "nop"
         out = cands[0].apply(beh)
         assert execute(out, {"a": 5}).outputs["r"] == 10
 
     def test_candidate_touches(self):
-        c = Candidate("t", "d", lambda b: None, sites=(3, 7))
+        c = Candidate(_Nop(), Match("nop", "d", (3, 7)))
+        assert c.sites == (3, 7)
         assert c.touches({7, 9})
         assert not c.touches({1, 2})
-        # A footprint-less candidate matches *no* hot set: the old
-        # permissive default silently defeated hot-block focusing.
-        assert not Candidate("t", "d", lambda b: None).touches({1})
+        # A match must name the nodes it touches, so no candidate can
+        # silently defeat hot-block focusing with an empty footprint.
+        with pytest.raises(TransformError):
+            Match("nop", "d", ())

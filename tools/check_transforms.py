@@ -3,21 +3,18 @@
 well-formed rewrite pattern.
 
 Checks, over :func:`repro.transforms.default_library` and every bench
-circuit:
+circuit (the pattern API itself — ``match``/``match_at`` + ``apply`` —
+is enforced by :class:`~repro.transforms.TransformLibrary`, which
+rejects any other transformation when the library is built):
 
-1. **Pattern API** — each in-library transformation implements
-   ``match``/``match_at`` + ``apply`` (no legacy closure-based ``find``
-   overriders; those are still *supported* for user code, but the
-   shipped library must be fully migrated so the incremental driver
-   never falls back).
-2. **Footprints** — every enumerated match names at least one concrete
+1. **Footprints** — every enumerated match names at least one concrete
    node, and every named node exists in the graph (a match whose
    footprint has leaked out of the behavior can never be invalidated
    correctly).
-3. **Dependencies** — LOCAL patterns must declare a non-empty
+2. **Dependencies** — LOCAL patterns must declare a non-empty
    dependency set covering the footprint, the contract the driver's
    carry-forward logic relies on.
-4. **Picklability** — matches must survive a pickle round trip (they
+3. **Picklability** — matches must survive a pickle round trip (they
    cross process boundaries with checkpointed populations).
 
 Run:  PYTHONPATH=src python tools/check_transforms.py
@@ -35,27 +32,19 @@ sys.path.insert(0, os.path.join(
 
 from repro.bench.circuits import CIRCUITS, circuit            # noqa: E402
 from repro.rewrite import (LOCAL, AnalysisManager,            # noqa: E402
-                           RewriteDriver, supports_pattern_api)
+                           RewriteDriver)
 from repro.transforms import default_library                  # noqa: E402
 
 
 def check_library() -> int:
     errors = 0
     library = default_library()
-    for t in library.transformations:
-        if not supports_pattern_api(t):
-            print(f"FAIL: {t.name}: overrides find() instead of the "
-                  f"pattern API (match/match_at + apply)",
-                  file=sys.stderr)
-            errors += 1
     for name in sorted(CIRCUITS):
         behavior = circuit(name).behavior()
         nodes = set(behavior.graph.nodes)
         analyses = AnalysisManager(behavior)
         count = 0
         for t in library.transformations:
-            if not supports_pattern_api(t):
-                continue
             for match in t.match(behavior, analyses):
                 count += 1
                 where = f"{name}: {t.name}: {match.description!r}"
