@@ -6,7 +6,7 @@ seeds) drained as one campaign by a
 :class:`~repro.service.orchestrator.CampaignOrchestrator`.  Two
 configurations run the *identical* queue:
 
-* **serial** — one in-process worker (``workers=1``), the sharded
+* **serial** — one worker process (``workers=1``), the sharded
   equivalent of calling ``repro explore`` per job;
 * **parallel** — a two-process worker pool with work stealing over the
   shared shard board (``workers=2``).

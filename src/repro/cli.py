@@ -69,21 +69,9 @@ from .bench.table2 import (format_power_table, format_throughput_table,
 from .cdfg.dot import behavior_to_dot
 from .core.search import SearchConfig
 from .errors import ConfigError, ReproError
-from .hw import Allocation
 from .obs.trace import NULL_TRACER, AnyTracer, Tracer
 from .profiling import profile, uniform_traces
 from .sched import SchedConfig
-
-
-def _parse_alloc(text: Optional[str]) -> Allocation:
-    """CLI allocation spec → :class:`Allocation`.
-
-    Raises :class:`~repro.errors.ConfigError` (a
-    :class:`~repro.errors.ReproError`) on malformed items, non-integer
-    counts, or negative counts; :func:`main` renders it as a clean
-    command-line error.
-    """
-    return api.coerce_allocation(text)
 
 
 def _parse_inputs(pairs: List[str]) -> Dict[str, int]:
@@ -291,13 +279,14 @@ def _write_front(front, args: argparse.Namespace) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .obs.metrics import MetricsRegistry
-    from .service.orchestrator import serve
+    from .service.orchestrator import OrchestratorConfig, serve
+    config = OrchestratorConfig(
+        workers=args.workers if args.workers is not None else 2,
+        isolate_stores=args.isolate_stores)
     tracer = _tracer_for(args)
     metrics = MetricsRegistry()
-    workers = args.workers if args.workers is not None else 2
     processed = serve(queue=args.queue, store=args.store,
-                      workers=workers, once=args.once, poll=args.poll,
-                      isolate_stores=args.isolate_stores,
+                      once=args.once, poll=args.poll, config=config,
                       tracer=tracer, metrics=metrics)
     _export_trace(args, tracer, metrics.as_dict())
     print(f"served {processed} job(s) "

@@ -38,7 +38,6 @@ from ..cdfg.ir import _digest
 from ..cdfg.regions import Behavior
 from ..errors import ReproError, SearchError
 from ..hw import Allocation, Library
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, AnyTracer, Tracer
 from ..stg import markov as _markov
 from ..sched.driver import ScheduleResult, Scheduler
@@ -381,24 +380,6 @@ class EvaluationEngine:
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """Unified metrics view of everything this engine has done.
-
-        Built from the engine-level cache stats (parent-process state)
-        and the *aggregated* :attr:`eval_stats` — the per-candidate
-        deltas every backend ships home — so the totals are consistent
-        between serial and process-pool runs.  Reading counters off
-        ``self._region_cache`` directly would under-report under the
-        pool backend (each worker owns a private region cache).
-        """
-        reg = MetricsRegistry()
-        reg.set("engine.workers", self.workers)
-        reg.inc("engine.requests", self.requests)
-        reg.absorb_cache_stats("engine.cache", self.cache.stats)
-        reg.absorb_cache_stats("engine.pair_keys", self._pair_keys.stats)
-        reg.absorb_eval_stats(self.eval_stats)
-        return reg
 
     @property
     def backend(self) -> str:

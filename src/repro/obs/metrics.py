@@ -13,22 +13,21 @@ addressed by dotted names (``engine.cache.hits``,
 
 Aggregation across pool workers is inherited from how the engine ships
 per-candidate :class:`~repro.core.telemetry.EvalStats` deltas home: the
-registry built by :meth:`repro.core.engine.EvaluationEngine.
-metrics_registry` derives region-cache totals from those aggregated
-deltas rather than reading any single process-local cache object, so
-a parallel run's totals include every worker's activity (the
-pre-registry ``--stats`` path read worker-local counters and
-under-reported pool runs; see
+registry a run's ``telemetry.metrics()`` builds derives region-cache
+totals from those aggregated deltas
+(:meth:`MetricsRegistry.absorb_eval_stats`) rather than reading any
+single process-local cache object, so a parallel run's totals include
+every worker's activity (the pre-registry ``--stats`` path read
+worker-local counters and under-reported pool runs; see
 ``tests/core/test_stats_aggregation.py``).
 
 Registries serialize with :meth:`MetricsRegistry.as_dict` (embedded in
-exported traces, consumed by ``repro trace summarize``) and combine
-with :meth:`MetricsRegistry.merge`.
+exported traces, consumed by ``repro trace summarize``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -69,7 +68,7 @@ class Histogram:
     Deliberately bucket-free: the pipeline's distributions (per-
     candidate scheduling seconds, span durations) are summarized by the
     trace tooling, which has the raw spans; the histogram keeps the
-    cheap aggregates that survive merging.
+    cheap aggregates.
     """
 
     __slots__ = ("count", "total", "min", "max")
@@ -98,7 +97,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with merge + export."""
+    """Named counters, gauges and histograms with export."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -181,43 +180,7 @@ class MetricsRegistry:
         self.inc("markov.solver_seconds", stats.solver_time)
         self.inc("numeric.solve_seconds", stats.numeric_seconds)
 
-    # -- merge / export --------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters add, gauges overwrite,
-        histograms combine)."""
-        for name, c in other._counters.items():
-            self.inc(name, c.value)
-        for name, g in other._gauges.items():
-            self.set(name, g.value)
-        for name, h in other._histograms.items():
-            mine = self.histogram(name)
-            mine.count += h.count
-            mine.total += h.total
-            for bound in (h.min, h.max):
-                if bound is not None:
-                    mine.min = bound if mine.min is None \
-                        else min(mine.min, bound)
-                    mine.max = bound if mine.max is None \
-                        else max(mine.max, bound)
-
-    def merge_dict(self, doc: Mapping[str, Any]) -> None:
-        """Fold an :meth:`as_dict` document in (the picklable twin of
-        :meth:`merge`, used for snapshots shipped across processes)."""
-        for name, value in doc.get("counters", {}).items():
-            self.inc(name, value)
-        for name, value in doc.get("gauges", {}).items():
-            self.set(name, value)
-        for name, h in doc.get("histograms", {}).items():
-            mine = self.histogram(name)
-            mine.count += h.get("count", 0)
-            mine.total += h.get("total", 0.0)
-            if h.get("count"):
-                for key, pick in (("min", min), ("max", max)):
-                    bound = h.get(key)
-                    current = getattr(mine, key)
-                    setattr(mine, key, bound if current is None
-                            else pick(current, bound))
-
+    # -- export ----------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot (embedded in exported traces)."""
         return {

@@ -8,11 +8,12 @@ service (see ``docs/service.md``):
   :class:`JobState` lifecycle, the file-backed :class:`JobQueue`, and
   :class:`JobResult` — the one public result shape shared with
   ``repro.explore``;
-* :mod:`repro.service.orchestrator` — the asyncio campaign
-  orchestrator: splits jobs into (seed, objective) shards on a shared
-  file board, dispatches them to a worker-process pool with
-  heartbeats, stale-lease work stealing and retry-with-backoff, and
-  merges shard fronts deterministically;
+* :mod:`repro.service.orchestrator` — the campaign orchestrator:
+  splits jobs into (seed, objective) shards on a shared file board
+  that worker processes pull from (heartbeats, stale-lease work
+  stealing, retries), and supervises them from one polling loop that
+  respawns dead workers with backoff and merges shard fronts
+  deterministically;
 * :mod:`repro.service.sync` — conflict-free union of two
   content-addressed run stores, so N processes or machines cooperate
   on one campaign.
@@ -29,6 +30,7 @@ from .jobs import (JOB_OBJECTIVES, JOB_SCHEMA, JobQueue, JobRecord,
 #: Lazily-loaded names -> defining submodule (PEP 562).
 _LAZY = {
     "CampaignOrchestrator": "orchestrator",
+    "OrchestratorConfig": "orchestrator",
     "ShardBoard": "orchestrator",
     "merge_fronts": "orchestrator",
     "serve": "orchestrator",

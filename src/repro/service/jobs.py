@@ -18,7 +18,7 @@ Jobs move through the :class:`JobState` lifecycle::
 
 :class:`JobQueue` is the file-backed queue ``repro serve`` drains:
 every record is one atomically-written JSON file, claims are
-``O_EXCL`` lock files, and results are canonical front exports — the
+:class:`Lease` files, and results are canonical front exports — the
 same crash model as the run store (:mod:`repro.explore.store`).
 
 A running job is split into **shards** (:class:`ShardSpec`): one
@@ -44,8 +44,8 @@ import time
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, List, Optional, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Tuple, Union)
 
 from ..core.objectives import POWER, THROUGHPUT
 from ..errors import ServiceError
@@ -66,11 +66,83 @@ JOB_OBJECTIVES = (PARETO, THROUGHPUT, POWER)
 
 
 def _atomic_write(path: Union[str, "os.PathLike[str]"],
-                  text: str) -> None:
+                  text: str, *, durable: bool = True) -> None:
     # Runtime import: explore triggers the full package, which in turn
     # imports this module — see the module docstring.
     from ..explore.store import atomic_write_text
-    atomic_write_text(path, text)
+    atomic_write_text(path, text, durable=durable)
+
+
+class Lease:
+    """An ``O_EXCL`` lease file holding ``{"pid", "worker", "ts"}``.
+
+    The job queue's server claims and the shard board's worker claims
+    are both leases: whoever creates the file holds it, the holder may
+    renew its stamp while it works, and a lease whose stamp is older
+    than ``ttl`` seconds — or that cannot be read — is stale and may be
+    stolen by anyone.
+    """
+
+    def __init__(self, path: Union[str, "os.PathLike[str]"],
+                 ttl: float) -> None:
+        self.path = Path(path)
+        self.ttl = ttl
+
+    @staticmethod
+    def _doc(worker: str) -> str:
+        return json.dumps({"pid": os.getpid(), "worker": worker,
+                           "ts": time.time()})
+
+    def holder(self) -> Optional[Dict[str, object]]:
+        """The lease document: None when free, {} when unreadable."""
+        try:
+            doc = json.loads(self.path.read_text())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            return {}
+        return doc if isinstance(doc, dict) else {}
+
+    def stale(self) -> bool:
+        doc = self.holder()
+        if doc is None:
+            return False  # vanished: not ours to steal, just re-race
+        ts = doc.get("ts")
+        return (not isinstance(ts, (int, float))
+                or time.time() - ts > self.ttl)
+
+    def take(self, worker: str, *,
+             on_steal: Optional[Callable[[], None]] = None) -> bool:
+        """Create the lease for ``worker``; a stale one is stolen
+        (``on_steal`` runs first, then the file is dropped) and the
+        create is retried once.  False when someone else holds it."""
+        for retry in (False, True):
+            try:
+                fd = os.open(self.path,
+                             os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                if retry or not self.stale():
+                    return False
+                if on_steal is not None:
+                    on_steal()
+                self.drop()
+                continue
+            except OSError:
+                return False
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(self._doc(worker))
+            return True
+        return False
+
+    def renew(self, worker: str) -> None:
+        """Rewrite the stamp (the holder's heartbeat)."""
+        _atomic_write(self.path, self._doc(worker), durable=False)
+
+    def drop(self) -> None:
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
 
 
 class JobState(str, Enum):
@@ -374,7 +446,7 @@ class JobQueue:
     Layout under the queue root (default ``<store>/queue``)::
 
         jobs/<job_id>.json          one atomically-written record each
-        claims/<job_id>.claim       O_EXCL server lease (pid + stamp)
+        claims/<job_id>.claim       server :class:`Lease`
         results/<job_id>.front.json merged front, canonical JSON
         campaigns/<id>/             shard boards (see orchestrator)
 
@@ -400,8 +472,9 @@ class JobQueue:
     def _record_path(self, job_id: str) -> Path:
         return self.root / "jobs" / f"{job_id}.json"
 
-    def _claim_path(self, job_id: str) -> Path:
-        return self.root / "claims" / f"{job_id}.claim"
+    def _lease(self, job_id: str) -> Lease:
+        return Lease(self.root / "claims" / f"{job_id}.claim",
+                     self.JOB_LEASE)
 
     def front_path(self, job_id: str) -> Path:
         """Where the merged front of a finished job lives."""
@@ -459,38 +532,11 @@ class JobQueue:
 
     # -- server claims --------------------------------------------------
     def claim(self, job_id: str, worker: str) -> bool:
-        """Take the server lease on a job (O_EXCL; steals stale ones)."""
-        path = self._claim_path(job_id)
-        doc = json.dumps({"pid": os.getpid(), "worker": worker,
-                          "ts": time.time()})
-        for attempt in (0, 1):
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                if attempt or not self._claim_stale(path):
-                    return False
-                try:
-                    os.unlink(path)  # stale lease: steal it
-                except OSError:
-                    return False
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(doc)
-            return True
-        return False
-
-    def _claim_stale(self, path: Path) -> bool:
-        try:
-            doc = json.loads(path.read_text())
-            return time.time() - float(doc["ts"]) > self.JOB_LEASE
-        except (OSError, ValueError, KeyError, TypeError):
-            return True  # unreadable claim: treat as stale
+        """Take the server lease on a job (steals stale ones)."""
+        return self._lease(job_id).take(worker)
 
     def release(self, job_id: str) -> None:
-        try:
-            os.unlink(self._claim_path(job_id))
-        except OSError:
-            pass
+        self._lease(job_id).drop()
 
     # -- lifecycle ------------------------------------------------------
     def transition(self, job_id: str, state: JobState, *,
@@ -513,8 +559,13 @@ class JobQueue:
         return record
 
     def cancel(self, job_id: str) -> JobRecord:
-        """Request cancellation: pending jobs cancel immediately;
-        running jobs are cancelled by their server at the next tick."""
+        """Cancel a pending job; any other record is returned as is.
+
+        A running job belongs to the campaign that claimed it: only
+        :meth:`CampaignOrchestrator.cancel
+        <repro.service.orchestrator.CampaignOrchestrator.cancel>`
+        cancels it.
+        """
         record = self.get(job_id)
         if record.state is JobState.PENDING:
             return self.transition(job_id, JobState.CANCELLED)

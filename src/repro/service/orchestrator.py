@@ -1,24 +1,23 @@
-"""The async campaign orchestrator behind ``repro serve``.
+"""The campaign orchestrator behind ``repro serve``.
 
 A **campaign** is one batch of claimed jobs.  The orchestrator expands
 every job into its deterministic shards (:func:`~repro.service.jobs
 .expand_shards`), publishes them on a file-backed :class:`ShardBoard`,
-and supervises a pool of worker *processes* from an asyncio event
-loop:
+spawns a pool of worker *processes*, and supervises them from one
+polling loop:
 
 * workers pull shards off the board themselves (work stealing over
   unclaimed shards is the scheduling policy — there is no push
-  dispatch to go wrong), claim with ``O_EXCL`` lock files carrying
-  pid + timestamp, and heartbeat their claim while executing;
-* a **collector** task feeds completed shard results through a
-  *bounded* ``asyncio.Queue`` into the **merger** task, which folds
-  shard fronts into per-job merged fronts (:func:`merge_fronts`) and
-  finalizes job records as their last shard lands;
-* a **monitor** task reaps dead workers, releases their claims (so a
-  surviving worker steals the shard), and respawns replacements with
-  exponential backoff; a shard is retried until
-  ``max_attempts`` and a :class:`~repro.errors.ReproError` inside a
-  shard is deterministic and never retried.
+  dispatch to go wrong), claim each with a
+  :class:`~repro.service.jobs.Lease`, and heartbeat the lease while
+  executing;
+* every ``poll`` seconds the loop folds the shard results that have
+  landed on the board into per-job merged fronts (:func:`merge_fronts`)
+  and finalizes a job when its last shard lands, then reaps dead
+  workers: it steals their claims (so a surviving worker retries the
+  shard) and respawns replacements with exponential backoff.  A shard
+  is retried until ``max_attempts``; a :class:`~repro.errors.ReproError`
+  inside a shard is deterministic and never retried.
 
 Because every shard is a serial, deterministic exploration and fronts
 merge conflict-free, the merged front of a campaign is byte-identical
@@ -32,25 +31,23 @@ Instrumentation goes through :mod:`repro.obs`: ``service.*`` metrics
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import ReproError, ServiceError
 from ..explore.pareto import ParetoFront
 from ..explore.store import atomic_write_text, default_store_root
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, AnyTracer
-from .jobs import (JobQueue, JobRecord, JobResult, JobState, PARETO,
-                   ShardSpec, default_queue_root, expand_shards)
+from .jobs import (JobQueue, JobRecord, JobResult, JobState, Lease,
+                   PARETO, ShardSpec, default_queue_root, expand_shards)
 
 #: Environment hook for fault-injection tests: a worker process whose
 #: claim matches this shard id hard-exits on the shard's *first*
@@ -70,14 +67,26 @@ _CELL_ORDER = {PARETO: 0, "throughput": 1, "power": 2}
 class OrchestratorConfig:
     """Supervision knobs (defaults suit tests and small campaigns)."""
 
-    workers: int = 2          #: worker processes (<=1 runs in-process)
+    workers: int = 2          #: worker processes (>= 1)
     poll: float = 0.05        #: worker/board polling interval, seconds
     lease: float = 60.0       #: claim lease; stale claims are stolen
     max_attempts: int = 3     #: attempts per shard before giving up
     max_respawns: int = 5     #: worker respawns before aborting
     respawn_backoff: float = 0.1  #: base respawn delay (doubles)
-    queue_bound: int = 8      #: collector->merger queue bound
     isolate_stores: bool = False  #: per-job sub-stores, synced on merge
+
+    def __post_init__(self) -> None:
+        for name, ok, bound in (
+                ("workers", self.workers >= 1, ">= 1"),
+                ("max_attempts", self.max_attempts >= 1, ">= 1"),
+                ("poll", self.poll > 0, "> 0"),
+                ("lease", self.lease > 0, "> 0"),
+                ("max_respawns", self.max_respawns >= 0, ">= 0"),
+                ("respawn_backoff", self.respawn_backoff >= 0, ">= 0")):
+            if not ok:
+                raise ServiceError(
+                    f"orchestrator {name} must be {bound}, got "
+                    f"{getattr(self, name)!r}")
 
 
 class ShardBoard:
@@ -86,8 +95,9 @@ class ShardBoard:
     Layout under the board root::
 
         shards/<shard_id>.json    the work items (written once)
-        claims/<shard_id>.claim   O_EXCL lease: {"pid", "worker", "ts"}
-        attempts/<shard_id>.<n>   one marker per attempt started
+        claims/<shard_id>.claim   worker :class:`Lease`
+        attempts/<shard_id>.<n>   one marker per attempt started; holds
+                                  the error of an attempt that raised
         steals/<shard_id>.<n>     one marker per stolen/released claim
         results/<shard_id>.json   shard outcome (front or error)
         DRAIN / CANCEL            flag files
@@ -96,8 +106,6 @@ class ShardBoard:
     processes — or machines sharing a filesystem — coordinate without
     locks.
     """
-
-    FLAGS = ("DRAIN", "CANCEL")
 
     def __init__(self, root: Union[str, "os.PathLike[str]"], *,
                  lease: float = OrchestratorConfig.lease) -> None:
@@ -180,57 +188,44 @@ class ShardBoard:
         pattern = f"{shard_id}.*" if shard_id else "*"
         return sum(1 for _ in (self.root / kind).glob(pattern))
 
-    # -- claims ---------------------------------------------------------
-    def _claim_path(self, shard_id: str) -> Path:
-        return self.root / "claims" / f"{shard_id}.claim"
-
-    def _read_claim(self, shard_id: str) -> Optional[Dict[str, object]]:
+    def record_error(self, shard_id: str, attempt: int,
+                     error: str) -> None:
+        """Write an attempt's unexpected error into its marker."""
         try:
-            return json.loads(self._claim_path(shard_id).read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return {}  # unreadable claim: stale by definition
+            atomic_write_text(self.root / "attempts"
+                              / f"{shard_id}.{attempt}", error,
+                              durable=False)
+        except OSError:  # pragma: no cover - bookkeeping only
+            pass
+
+    def last_error(self, shard_id: str) -> Optional[str]:
+        """The error of the latest attempt that recorded one."""
+        markers = sorted(
+            (self.root / "attempts").glob(f"{shard_id}.*"),
+            key=lambda path: int(path.suffix[1:]), reverse=True)
+        for path in markers:
+            try:
+                text = path.read_text()
+            except OSError:
+                continue
+            if text:
+                return text
+        return None
+
+    # -- claims ---------------------------------------------------------
+    def _lease(self, shard_id: str) -> Lease:
+        return Lease(self.root / "claims" / f"{shard_id}.claim",
+                     self.lease)
 
     def claim(self, shard_id: str, worker: str) -> bool:
-        doc = json.dumps({"pid": os.getpid(), "worker": worker,
-                          "ts": time.time()})
-        path = self._claim_path(shard_id)
-        for retry in (False, True):
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-            except FileExistsError:
-                if retry or not self._claim_is_stale(shard_id):
-                    return False
-                self.steal(shard_id)
-                continue
-            except OSError:
-                return False
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(doc)
-            return True
-        return False
-
-    def _claim_is_stale(self, shard_id: str) -> bool:
-        claim = self._read_claim(shard_id)
-        if claim is None:
-            return False  # vanished: not ours to steal, just re-race
-        ts = claim.get("ts")
-        if not isinstance(ts, (int, float)):
-            return True
-        return time.time() - ts > self.lease
+        return self._lease(shard_id).take(
+            worker, on_steal=lambda: self._mark("steals", shard_id))
 
     def heartbeat(self, shard_id: str, worker: str) -> None:
-        atomic_write_text(
-            self._claim_path(shard_id),
-            json.dumps({"pid": os.getpid(), "worker": worker,
-                        "ts": time.time()}), durable=False)
+        self._lease(shard_id).renew(worker)
 
     def release(self, shard_id: str) -> None:
-        try:
-            os.unlink(self._claim_path(shard_id))
-        except OSError:
-            pass
+        self._lease(shard_id).drop()
 
     def steal(self, shard_id: str) -> None:
         """Release another worker's (stale/dead) claim, with a marker
@@ -242,10 +237,9 @@ class ShardBoard:
         """Steal every claim held by one of ``pids`` (dead workers)."""
         released = 0
         for path in list((self.root / "claims").glob("*.claim")):
-            shard_id = path.stem
-            claim = self._read_claim(shard_id)
-            if claim is not None and claim.get("pid") in pids:
-                self.steal(shard_id)
+            holder = Lease(path, self.lease).holder()
+            if holder is not None and holder.get("pid") in pids:
+                self.steal(path.stem)
                 released += 1
         return released
 
@@ -274,10 +268,13 @@ class ShardBoard:
                 continue
             attempts = self.count("attempts", shard_id)
             if attempts >= max_attempts:
+                last = self.last_error(shard_id)
+                cause = (f"; last error: {last}" if last
+                         else " (the worker died each time)")
                 self.complete(shard_id, {
                     "shard": shard_id,
-                    "error": f"gave up after {attempts} attempts "
-                             f"(worker died or crashed each time)",
+                    "error": f"gave up after {attempts} attempts"
+                             f"{cause}",
                     "retryable": False})
                 continue
             if self.claim(shard_id, worker):
@@ -354,42 +351,37 @@ def _run_shard(shard: ShardSpec,
 
 
 def _worker_main(board_root: str, store_root: str, worker: str,
-                 isolate: bool, poll: float, max_attempts: int,
-                 inline: bool = False) -> None:
-    """Worker loop: steal-claim shards off the board until drained."""
-    if not inline:
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-    board = ShardBoard(board_root)
+                 cfg: OrchestratorConfig) -> None:
+    """Worker process: steal-claim shards off the board until drained."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    board = ShardBoard(board_root, lease=cfg.lease)
     while not board.has_flag("CANCEL"):
-        claimed = board.claim_next(worker, max_attempts)
+        claimed = board.claim_next(worker, cfg.max_attempts)
         if claimed is None:
             if board.all_done() or board.has_flag("DRAIN"):
                 return
-            time.sleep(poll)
+            time.sleep(cfg.poll)
             continue
         shard, attempt = claimed
-        if (not inline and attempt == 1
-                and os.environ.get(CRASH_ENV) == shard.shard_id):
+        if attempt == 1 and os.environ.get(CRASH_ENV) == shard.shard_id:
             os._exit(CRASH_EXIT)  # fault injection: die mid-shard
         beat = _Heartbeat(board, shard.shard_id, worker)
         beat.start()
         started = time.perf_counter()
         try:
-            doc = _run_shard(shard, store_root, isolate)
+            doc = _run_shard(shard, store_root, cfg.isolate_stores)
         except ReproError as exc:
             # Deterministic failure: retrying reproduces it exactly.
             doc = {"shard": shard.shard_id, "error": str(exc),
                    "retryable": False}
         except Exception as exc:  # noqa: BLE001 - isolate the shard
-            # Unexpected: release and let the attempt budget decide.
+            # Unexpected: record it, release, and let the attempt
+            # budget decide.
             beat.stop()
+            board.record_error(shard.shard_id, attempt,
+                               f"{type(exc).__name__}: {exc}")
             board.release(shard.shard_id)
-            if inline:
-                raise
-            time.sleep(poll)
+            time.sleep(cfg.poll)
             continue
         finally:
             beat.stop()
@@ -429,7 +421,7 @@ def _shard_sort_key(shard: ShardSpec) -> Tuple[int, int]:
 
 
 class CampaignOrchestrator:
-    """Runs one batch of jobs to terminal state over a worker pool."""
+    """Runs one batch of jobs to terminal state over worker processes."""
 
     def __init__(self, queue: JobQueue,
                  records: Sequence[JobRecord], *,
@@ -453,6 +445,7 @@ class CampaignOrchestrator:
         self._cancel = threading.Event()
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._worker_seq = 0
+        self._respawns = 0
 
     # -- public ---------------------------------------------------------
     def cancel(self) -> None:
@@ -462,10 +455,6 @@ class CampaignOrchestrator:
 
     def run(self) -> Dict[str, JobResult]:
         """Drive the campaign to completion; job_id -> result."""
-        return asyncio.run(self._run())
-
-    # -- supervision ----------------------------------------------------
-    async def _run(self) -> Dict[str, JobResult]:
         cfg = self.config
         board = ShardBoard(self.queue.board_root(self.campaign_id),
                            lease=cfg.lease)
@@ -480,72 +469,87 @@ class CampaignOrchestrator:
         board.populate(shards)
         self.metrics.set("service.shards_total", len(shards))
         self.metrics.set("service.queue_depth", len(shards))
-        inline = cfg.workers <= 1
         with self.tracer.span("service.campaign",
                               campaign=self.campaign_id,
                               jobs=len(self.records),
                               shards=len(shards),
-                              workers=max(cfg.workers, 1)) as span:
-            if not inline:
-                for _ in range(cfg.workers):
-                    self._spawn_worker(board)
-            pending: Set[str] = {s.shard_id for s in shards}
-            results_q: asyncio.Queue = asyncio.Queue(
-                maxsize=max(cfg.queue_bound, 1))
-            collector = asyncio.create_task(
-                self._collect(board, pending, results_q))
-            merger = asyncio.create_task(
-                self._merge(board, by_job, results_q))
-            monitor = asyncio.create_task(
-                self._monitor(board, pending))
-            worker_task = None
-            if inline:
-                loop = asyncio.get_running_loop()
-                worker_task = loop.run_in_executor(
-                    None, _worker_main, str(board.root),
-                    str(self.store_root), "inline-0",
-                    cfg.isolate_stores, cfg.poll, cfg.max_attempts,
-                    True)
+                              workers=cfg.workers) as span:
             cancelled = False
             try:
-                waiting = {merger, monitor}
-                if worker_task is not None:
-                    waiting.add(worker_task)
-                done, _ = await asyncio.wait(
-                    waiting, return_when=asyncio.FIRST_COMPLETED)
-                if merger not in done:
-                    if worker_task is not None and worker_task in done:
-                        # Inline worker finished: surface its error or,
-                        # on a clean drain, let the merger catch up.
-                        worker_task.result()
-                        await merger
-                    else:
-                        try:
-                            # Cancellation or irrecoverable pool death.
-                            monitor.result()
-                        except ServiceError:
-                            self._fail_remaining(by_job)
-                            raise
-                        cancelled = True
+                for _ in range(cfg.workers):
+                    self._spawn_worker(board)
+                cancelled = not self._supervise(board, by_job)
+            except ServiceError as exc:
+                self._end_remaining(by_job, JobState.FAILED, str(exc))
+                raise
             finally:
-                for task in (collector, merger, monitor):
-                    task.cancel()
-                await asyncio.gather(collector, merger, monitor,
-                                     return_exceptions=True)
                 self._shutdown_workers(board, force=cancelled)
-                if worker_task is not None:
-                    await asyncio.gather(worker_task,
-                                         return_exceptions=True)
             if cancelled:
-                self._cancel_remaining(by_job)
+                self._end_remaining(by_job, JobState.CANCELLED,
+                                    "campaign cancelled")
             span.set(steals=int(board.count("steals")),
                      cancelled=cancelled)
             self.metrics.set("service.steals",
                              board.count("steals"))
         return self.results
 
-    def _spawn_worker(self, board: ShardBoard) -> None:
+    # -- supervision ----------------------------------------------------
+    def _supervise(self, board: ShardBoard,
+                   by_job: Dict[str, List[ShardSpec]]) -> bool:
+        """Poll the board until every job is finalized; False when
+        :meth:`cancel` cut the campaign short."""
+        outstanding = {job_id: {s.shard_id for s in job_shards}
+                       for job_id, job_shards in by_job.items()}
+        pending = set().union(*outstanding.values())
+        docs: Dict[str, Dict[str, object]] = {}
+        while not self._cancel.wait(self.config.poll):
+            for shard_id in sorted(sid for sid in pending
+                                   if board.has_result(sid)):
+                pending.discard(shard_id)
+                docs[shard_id] = doc = board.load_result(shard_id)
+                if "wall_time" in doc:
+                    self.metrics.observe("service.shard_latency",
+                                         float(doc["wall_time"]))
+                self.metrics.inc("service.shards_completed")
+                self.metrics.set("service.queue_depth", len(pending))
+                job_id = shard_id.split(".", 1)[0]
+                remaining = outstanding[job_id]
+                remaining.discard(shard_id)
+                if not remaining:
+                    del outstanding[job_id]
+                    self._finalize_job(job_id, by_job[job_id], docs)
+            if not outstanding:
+                return True
+            self._reap(board)
+        return False
+
+    def _reap(self, board: ShardBoard) -> None:
+        """Steal dead workers' claims and respawn them with backoff."""
         cfg = self.config
+        dead = [p for p in self._procs if not p.is_alive()]
+        if not dead:
+            return
+        pids = {p.pid for p in dead if p.pid is not None}
+        if board.release_dead(pids):
+            self.metrics.inc("service.retries", len(pids))
+        for proc in dead:
+            self._procs.remove(proc)
+        if board.all_done():
+            return  # workers exit on their own once all work is done
+        for _ in dead:
+            if self._respawns >= cfg.max_respawns:
+                if not any(p.is_alive() for p in self._procs):
+                    raise ServiceError(
+                        f"worker pool died {self._respawns} times; "
+                        f"aborting campaign {self.campaign_id}")
+                continue
+            self._respawns += 1
+            self.metrics.inc("service.workers_respawned")
+            # Results wait on disk, so the loop may sleep this out.
+            time.sleep(cfg.respawn_backoff * 2 ** (self._respawns - 1))
+            self._spawn_worker(board)
+
+    def _spawn_worker(self, board: ShardBoard) -> None:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
@@ -555,7 +559,7 @@ class CampaignOrchestrator:
         proc = ctx.Process(
             target=_worker_main,
             args=(str(board.root), str(self.store_root), name,
-                  cfg.isolate_stores, cfg.poll, cfg.max_attempts),
+                  self.config),
             name=name, daemon=True)
         proc.start()
         self._procs.append(proc)
@@ -578,45 +582,6 @@ class CampaignOrchestrator:
             if proc.is_alive():  # pragma: no cover - stuck in syscall
                 proc.kill()
                 proc.join(timeout=5.0)
-
-    async def _collect(self, board: ShardBoard, pending: Set[str],
-                       results_q: asyncio.Queue) -> None:
-        """Feed completed shard results into the bounded merge queue."""
-        poll = self.config.poll
-        while pending:
-            ready = [sid for sid in sorted(pending)
-                     if board.has_result(sid)]
-            for shard_id in ready:
-                pending.discard(shard_id)
-                doc = board.load_result(shard_id)
-                if "wall_time" in doc:
-                    self.metrics.observe("service.shard_latency",
-                                         float(doc["wall_time"]))
-                self.metrics.inc("service.shards_completed")
-                self.metrics.set("service.queue_depth", len(pending))
-                await results_q.put((shard_id, doc))
-            if not ready:
-                await asyncio.sleep(poll)
-
-    async def _merge(self, board: ShardBoard,
-                     by_job: Dict[str, List[ShardSpec]],
-                     results_q: asyncio.Queue) -> None:
-        """Fold shard results into per-job merged fronts."""
-        outstanding = {job_id: {s.shard_id for s in job_shards}
-                       for job_id, job_shards in by_job.items()}
-        docs: Dict[str, Dict[str, object]] = {}
-        while outstanding:
-            shard_id, doc = await results_q.get()
-            docs[shard_id] = doc
-            job_id = shard_id.split(".", 1)[0]
-            remaining = outstanding.get(job_id)
-            if remaining is None:
-                continue
-            remaining.discard(shard_id)
-            if remaining:
-                continue
-            del outstanding[job_id]
-            self._finalize_job(job_id, by_job[job_id], docs)
 
     def _finalize_job(self, job_id: str,
                       job_shards: List[ShardSpec],
@@ -652,87 +617,45 @@ class CampaignOrchestrator:
             job_id=job_id, shards=len(ordered))
         self.metrics.inc("service.jobs_done")
 
-    async def _monitor(self, board: ShardBoard,
-                       pending: Set[str]) -> None:
-        """Reap dead workers, steal their claims, respawn with
-        backoff; returns early on cancellation."""
-        cfg = self.config
-        respawns = 0
-        while True:
-            await asyncio.sleep(cfg.poll)
-            if self._cancel.is_set():
-                return
-            dead = [p for p in self._procs if not p.is_alive()]
-            if dead and pending:
-                pids = {p.pid for p in dead if p.pid is not None}
-                if board.release_dead(pids):
-                    self.metrics.inc("service.retries", len(pids))
-                for proc in dead:
-                    self._procs.remove(proc)
-                if not board.all_done():
-                    for _ in dead:
-                        if respawns >= cfg.max_respawns:
-                            if not any(p.is_alive()
-                                       for p in self._procs):
-                                raise ServiceError(
-                                    f"worker pool died "
-                                    f"{respawns} times; aborting "
-                                    f"campaign "
-                                    f"{self.campaign_id}")
-                            continue
-                        respawns += 1
-                        self.metrics.inc(
-                            "service.workers_respawned")
-                        await asyncio.sleep(
-                            cfg.respawn_backoff
-                            * (2 ** (respawns - 1)))
-                        self._spawn_worker(board)
-
-    def _fail_remaining(self,
-                        by_job: Dict[str, List[ShardSpec]]) -> None:
-        for job_id in by_job:
+    def _end_remaining(self, by_job: Dict[str, List[ShardSpec]],
+                       state: JobState, error: str) -> None:
+        """Move every job not yet finalized to terminal ``state``
+        (FAILED or CANCELLED), counted as ``service.jobs_<state>``."""
+        for job_id, job_shards in by_job.items():
             if job_id in self.results:
                 continue
-            record = self.queue.get(job_id)
-            if not record.state.terminal:
-                self.queue.transition(job_id, JobState.FAILED,
-                                      error="worker pool died")
-            self.metrics.inc("service.jobs_failed")
-
-    def _cancel_remaining(self,
-                          by_job: Dict[str, List[ShardSpec]]) -> None:
-        for job_id in by_job:
-            if job_id in self.results:
-                continue
-            record = self.queue.get(job_id)
-            if not record.state.terminal:
-                self.queue.transition(job_id, JobState.CANCELLED,
-                                      error="campaign cancelled")
+            if not self.queue.get(job_id).state.terminal:
+                self.queue.transition(job_id, state, error=error)
             self.results[job_id] = JobResult(
-                front=ParetoFront(), state=JobState.CANCELLED,
-                job_id=job_id, shards=len(by_job[job_id]),
-                error="campaign cancelled")
-            self.metrics.inc("service.jobs_cancelled")
+                front=ParetoFront(), state=state, job_id=job_id,
+                shards=len(job_shards), error=error)
+            self.metrics.inc(f"service.jobs_{state.value}")
 
 
 def serve(queue: Union[JobQueue, str, "os.PathLike[str]", None]
           = None, *,
           store: Union[str, "os.PathLike[str]", None] = None,
-          workers: int = 2, once: bool = False, poll: float = 0.5,
+          once: bool = False, poll: float = 0.5,
           max_batch: Optional[int] = None,
-          isolate_stores: bool = False,
           config: Optional[OrchestratorConfig] = None,
           tracer: Optional[AnyTracer] = None,
           metrics: Optional[MetricsRegistry] = None) -> int:
     """Drain a job queue: the long-running loop behind ``repro serve``.
 
     Claims pending jobs in submission order (stealing stale server
-    leases), runs each batch through a :class:`CampaignOrchestrator`,
-    and repeats.  ``once=True`` exits when the queue is empty; without
-    it the loop polls forever and **SIGTERM drains gracefully**: the
-    in-flight batch finishes, no new jobs are claimed, and the loop
-    returns.  Returns the number of jobs processed.
+    leases), runs each batch through a :class:`CampaignOrchestrator`
+    configured by ``config``, and repeats.  ``poll`` is the idle queue
+    polling interval and ``max_batch`` caps the jobs per campaign.
+    ``once=True`` exits when the queue is empty; without it the loop
+    polls forever and **SIGTERM drains gracefully**: the in-flight
+    batch finishes, no new jobs are claimed, and the loop returns.
+    Returns the number of jobs processed.
     """
+    if not poll > 0:
+        raise ServiceError(f"serve poll must be > 0, got {poll!r}")
+    if max_batch is not None and max_batch < 1:
+        raise ServiceError(
+            f"serve max_batch must be >= 1, got {max_batch!r}")
     store_root = Path(store) if store is not None \
         else Path(default_store_root())
     if isinstance(queue, JobQueue):
@@ -740,9 +663,7 @@ def serve(queue: Union[JobQueue, str, "os.PathLike[str]", None]
     else:
         job_queue = JobQueue(queue if queue is not None
                              else default_queue_root(store_root))
-    base = config or OrchestratorConfig()
-    base = replace(base, workers=workers,
-                   isolate_stores=isolate_stores)
+    config = config or OrchestratorConfig()
     drain = threading.Event()
     previous = None
     in_main = (threading.current_thread()
@@ -766,7 +687,7 @@ def serve(queue: Union[JobQueue, str, "os.PathLike[str]", None]
                     batch.append(job_queue.get(record.job_id))
             if batch:
                 orchestrator = CampaignOrchestrator(
-                    job_queue, batch, store=store_root, config=base,
+                    job_queue, batch, store=store_root, config=config,
                     tracer=tracer, metrics=metrics)
                 try:
                     orchestrator.run()

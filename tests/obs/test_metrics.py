@@ -1,4 +1,4 @@
-"""MetricsRegistry unit tests: instruments, merge, absorption."""
+"""MetricsRegistry unit tests: instruments, export, absorption."""
 
 from repro.core.evalcache import CacheStats
 from repro.core.telemetry import EvalStats
@@ -39,22 +39,6 @@ class TestMerge:
         reg.observe("h", 1.0)
         reg.observe("h", 5.0)
         return reg
-
-    def test_merge_adds_counters_combines_histograms(self):
-        a, b = self._sample(), self._sample()
-        b.set("g", 0.9)
-        a.merge(b)
-        assert a.value("c") == 4
-        assert a.value("g") == 0.9
-        h = a.histogram("h")
-        assert (h.count, h.total, h.min, h.max) == (4, 12.0, 1.0, 5.0)
-
-    def test_merge_dict_equals_merge(self):
-        a, b = self._sample(), self._sample()
-        via_obj = self._sample()
-        via_obj.merge(b)
-        a.merge_dict(b.as_dict())
-        assert a.as_dict() == via_obj.as_dict()
 
     def test_as_dict_shape(self):
         doc = self._sample().as_dict()

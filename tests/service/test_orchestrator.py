@@ -15,6 +15,7 @@ from repro.explore import RunStore
 from repro.explore.pareto import (DesignMetrics, DesignPoint,
                                   ParetoFront)
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.service.jobs import (JobQueue, JobSpec, JobState, PARETO,
                                 expand_shards)
 from repro.service.orchestrator import (CRASH_ENV,
@@ -130,13 +131,14 @@ class TestSerialEquivalence:
         assert queue.get(result.job_id).state is JobState.DONE
         assert_no_orphans(orch)
 
-    def test_inline_worker_matches_serial_gcd(self, tmp_path,
-                                              gcd_reference):
+    def test_one_worker_matches_serial_gcd(self, tmp_path,
+                                           gcd_reference):
         _, orch, result = run_campaign(tmp_path, gcd_spec(), 1,
                                        name="w1")
         assert result.ok
         assert result.front.to_json() == gcd_reference
-        assert orch._procs == []  # inline mode spawns no processes
+        assert orch._worker_seq == 1  # one worker process, no respawn
+        assert_no_orphans(orch)
 
     def test_two_workers_isolated_stores_match_serial(self, tmp_path):
         """A two-job burst on per-job sub-stores (the federation path):
@@ -229,6 +231,26 @@ class TestFaultInjection:
         assert queue.get(result.job_id).state is JobState.CANCELLED
         assert_no_orphans(orch)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unexpected_shard_error_fails_job_naming_it(
+            self, tmp_path, monkeypatch, workers):
+        """A shard that raises a non-ReproError on every attempt ends
+        its job FAILED with the exception named; run() returns."""
+        def boom(shard, store_root, isolate):
+            raise RuntimeError(f"boom in {shard.cell}")
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr("repro.service.orchestrator._run_shard",
+                            boom)
+        queue, orch, result = run_campaign(tmp_path, gcd_spec(TINY),
+                                           workers, name="raise")
+        assert result.state is JobState.FAILED
+        assert queue.get(result.job_id).state is JobState.FAILED
+        assert "gave up after 3 attempts; last error: RuntimeError: " \
+            "boom in pareto" in result.error
+        assert "died" not in result.error
+        assert_no_orphans(orch)
+
     def test_deterministic_shard_error_fails_job(self, tmp_path):
         # One adder cannot schedule gcd: a deterministic ReproError
         # inside every shard, reported (not retried) as FAILED.
@@ -248,7 +270,8 @@ class TestServe:
                for seed in (0, 1)]
         assert len(set(ids)) == 2
         processed = serve(queue_root, store=tmp_path / "store",
-                          workers=2, once=True, poll=0.05)
+                          once=True, poll=0.05,
+                          config=OrchestratorConfig(workers=2))
         assert processed == 2
         for jid in ids:
             record = repro.status(jid, queue=queue_root)
@@ -267,3 +290,51 @@ class TestServe:
         assert queue.claim(jid, "another-server")
         assert serve(queue, store=tmp_path / "store", once=True) == 0
         assert queue.get(jid).state is JobState.PENDING
+
+    def test_serve_honors_config(self, tmp_path):
+        """serve() runs campaigns exactly as ``config`` says: one
+        worker process, per-job sub-stores."""
+        queue_root = tmp_path / "queue"
+        jid = repro.submit(GCD, alloc=GCD_ALLOC, queue=queue_root,
+                           **TINY)
+        tracer = Tracer()
+        assert serve(queue_root, store=tmp_path / "store", once=True,
+                     config=OrchestratorConfig(workers=1, poll=0.02,
+                                               isolate_stores=True),
+                     tracer=tracer) == 1
+        campaigns = [s for s in tracer.spans
+                     if s.name == "service.campaign"]
+        assert [s.attrs["workers"] for s in campaigns] == [1]
+        assert repro.status(jid, queue=queue_root).state \
+            is JobState.DONE
+        sub_store = shard_store_root(tmp_path / "store", jid, True)
+        assert list(RunStore(sub_store).scan())
+
+    @pytest.mark.parametrize("where, bad", [
+        ("config", dict(workers=0)),
+        ("config", dict(workers=-3)),
+        ("config", dict(max_attempts=0)),
+        ("config", dict(poll=0)),
+        ("config", dict(lease=0)),
+        ("config", dict(max_respawns=-1)),
+        ("config", dict(respawn_backoff=-0.1)),
+        ("serve", dict(poll=0)),
+        ("serve", dict(max_batch=0)),
+        ("cli", ["--workers", "0"]),
+    ])
+    def test_bad_settings_fail_at_the_boundary(self, tmp_path, where,
+                                               bad):
+        if where == "config":
+            with pytest.raises(ServiceError):
+                OrchestratorConfig(**bad)
+        elif where == "serve":
+            with pytest.raises(ServiceError):
+                serve(tmp_path / "queue", store=tmp_path / "store",
+                      once=True, **bad)
+        else:
+            from repro.cli import main
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--store", str(tmp_path / "store"),
+                      "--once", *bad])
+            assert str(exc.value.code).startswith("error: ")
+            assert "\n" not in str(exc.value.code)
