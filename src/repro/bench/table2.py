@@ -26,8 +26,6 @@ from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT
 from ..core.search import SearchConfig
 from ..hw import Library, dac98_library
-from ..power.model import estimate_power
-from ..power.vdd import scaled_vdd_for_schedule
 from ..profiling.profiler import profile
 from ..sched.driver import ScheduleResult
 from .circuits import CIRCUITS, Circuit, circuit
@@ -138,25 +136,18 @@ def run_power_row(name: str, library: Optional[Library] = None,
     lib = library or dac98_library()
     beh = c.behavior()
     probs = profile(beh, c.traces(beh)).branch_probs
-    m1 = run_m1(beh, lib, c.allocation, c.sched, probs)
-    base_len = m1.average_length()
-    m1_est = estimate_power(m1.stg, beh.graph, lib, vdd=5.0,
-                            cycle_time=cycle_time)
     fact = Fact(lib, config=FactConfig(
         sched=c.sched, search=_resolve_search(search, workers)))
     res = fact.optimize(beh, c.allocation, branch_probs=probs,
                         objective=POWER)
-    assert res.best.result is not None
-    best_len = res.best_length
-    best_est = estimate_power(res.best.result.stg,
-                              res.best.behavior.graph, lib, vdd=5.0,
-                              cycle_time=cycle_time)
-    vdd = scaled_vdd_for_schedule(min(best_len, base_len), base_len)
-    fact_power = (best_est.total_energy * vdd ** 2
-                  / (max(base_len, best_len) * cycle_time))
-    return PowerRow(c, m1_power=m1_est.power, fact_power=fact_power,
-                    scaled_vdd=vdd, m1_length=base_len,
-                    fact_length=best_len)
+    # The search's initial design is M1: the untransformed behavior
+    # through the same scheduler.
+    report = res.power_report(lib, cycle_time)
+    return PowerRow(c, m1_power=report["initial_power"],
+                    fact_power=report["optimized_power"],
+                    scaled_vdd=report["scaled_vdd"],
+                    m1_length=res.initial_length,
+                    fact_length=res.best_length)
 
 
 def format_throughput_table(rows: List[ThroughputRow]) -> str:

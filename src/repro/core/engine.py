@@ -4,12 +4,12 @@ The Figure-6 search spends virtually all of its time rescheduling and
 scoring candidate behaviors.  :class:`EvaluationEngine` centralizes that
 work behind one interface so the search loop never schedules inline:
 
-* **memoization** — every behavior is fingerprinted
-  (:func:`repro.core.evalcache.behavior_fingerprint`, invariant under
-  node renumbering) and scored at most once per run; identical
-  candidates produced by different lineages — extremely common with
-  commutativity/associativity moves — are served from the
-  :class:`~repro.core.evalcache.EvalCache`;
+* **memoization** — every behavior is keyed by its
+  :func:`repro.core.evalcache.design_key` (invariant under node
+  renumbering, and equal to the explorer's run-store key) and scored at
+  most once per run; identical candidates produced by different
+  lineages — extremely common with commutativity/associativity moves —
+  are served from the :class:`~repro.core.evalcache.EvalCache`;
 * **parallelism** — with ``workers >= 2`` (constructor argument, or the
   ``REPRO_WORKERS`` environment variable, or ``--workers`` on the CLI)
   each generation's ``Behavior_set`` fans out across a
@@ -43,7 +43,7 @@ from ..stg import markov as _markov
 from ..sched.driver import ScheduleResult, Scheduler
 from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import BranchProbs, ResourceModel, SchedConfig
-from .evalcache import CacheStats, EvalCache, cached_fingerprint
+from .evalcache import CacheStats, EvalCache, design_key
 from .objectives import Objective
 from .telemetry import EvalStats
 
@@ -151,23 +151,16 @@ class _EvalContext:
     objective: Objective
     traced: bool = False
 
-    def make_region_cache(self) -> RegionScheduleCache:
-        """A region-schedule cache bound to this context."""
-        return RegionScheduleCache(context_fp=context_fingerprint(
-            self.library, self.allocation, self.sched_config,
-            self.branch_probs))
-
 
 def context_fingerprint(library: Library, allocation: Allocation,
                         sched_config: SchedConfig,
-                        branch_probs: Optional[BranchProbs] = None,
-                        objective: Optional[Objective] = None) -> str:
+                        branch_probs: Optional[BranchProbs] = None) -> str:
     """Digest of everything fixed across one evaluation context.
 
     Two contexts with the same fingerprint schedule any given behavior
-    identically; the engine's memoization keys and the exploration
-    subsystem's on-disk run store both namespace behavior fingerprints
-    with this.  ``objective`` is optional because the disk store keeps
+    identically.  It stamps region caches and namespaces every
+    :func:`~repro.core.evalcache.design_key`.  The objective is not part
+    of it: an engine's objective is fixed, and the run store keeps
     objective-independent raw metrics (schedule length, energy, area).
     """
     parts = [
@@ -182,10 +175,6 @@ def context_fingerprint(library: Library, allocation: Allocation,
         repr(astuple(sched_config)),
         repr(sorted(branch_probs.items()) if branch_probs else None),
     ]
-    if objective is not None:
-        parts.append(repr((objective.kind, objective.baseline_length,
-                           objective.vdd, objective.vt,
-                           objective.cycle_time)))
     return _digest("|".join(parts).encode()).hexdigest()
 
 
@@ -251,17 +240,16 @@ _WORKER_REGION_CACHE: Optional[RegionScheduleCache] = None
 _WORKER_TRACER: AnyTracer = NULL_TRACER
 
 
-def _init_worker(ctx: _EvalContext) -> None:
+def _init_worker(ctx: _EvalContext, context_fp: str) -> None:
     global _WORKER_CTX, _WORKER_REGION_CACHE, _WORKER_TRACER
     _WORKER_CTX = ctx
     # Each worker keeps its own region cache for the whole run; it stays
     # warm across generations (units are keyed by content, not lineage).
-    _WORKER_REGION_CACHE = ctx.make_region_cache()
+    _WORKER_REGION_CACHE = RegionScheduleCache(context_fp=context_fp)
     # Each traced worker records into its own tracer and ships the
     # finished spans home with every result (see _eval_worker); the
     # parent re-parents them under its open span via Tracer.adopt.
     _WORKER_TRACER = Tracer() if ctx.traced else NULL_TRACER
-    _markov.set_tracer(_WORKER_TRACER)
 
 
 def _eval_worker(behavior: Behavior
@@ -284,9 +272,9 @@ class EvaluationEngine:
 
     One engine serves one search run: the library, allocation, scheduler
     configuration, branch probabilities and objective are fixed at
-    construction (they namespace the cache keys), and only behaviors
-    vary per call.  Use as a context manager, or call :meth:`close`, to
-    release pool workers.
+    construction (all but the objective namespace the cache keys), and
+    only behaviors vary per call.  Use as a context manager, or call
+    :meth:`close`, to release pool workers.
     """
 
     def __init__(self, library: Library, allocation: Allocation,
@@ -305,57 +293,40 @@ class EvaluationEngine:
                                  traced=bool(self.tracer.enabled))
         self.workers = resolve_workers(workers)
         self.cache = EvalCache(max_entries=CACHE_SIZE)
-        #: (parent raw fingerprint × match fingerprint) -> behavior
-        #: cache key.  Applying one match to one parent is
+        #: (parent raw fingerprint × match fingerprint) -> design key,
+        #: the provenance index.  Applying one match to one parent is
         #: deterministic, so the pair resolves a child's key without
-        #: re-fingerprinting its graph (see _key_with_provenance).
+        #: re-fingerprinting its graph (see key_for).
         self._pair_keys = EvalCache(max_entries=CACHE_SIZE)
+        self._context_fp = context_fingerprint(
+            library, allocation, self._ctx.sched_config, branch_probs)
         if region_cache is not None:
             # Externally shared cache (e.g. the Fact driver's per-context
             # registry): unit schedules survive across engines — and
             # across whole searches — as long as the evaluation context
             # matches.  Objectives are deliberately absent from the
-            # region-cache namespace, so a throughput run warms the
-            # cache for a subsequent power run.
-            expected = context_fingerprint(library, allocation,
-                                           sched_config or SchedConfig(),
-                                           branch_probs)
-            if region_cache.context_fp != expected:
+            # context, so a throughput run warms the cache for a
+            # subsequent power run.
+            if region_cache.context_fp != self._context_fp:
                 raise SearchError(
                     "region_cache was built for a different evaluation "
                     "context (library/allocation/schedule-config/"
                     "branch-probs mismatch)")
             self._region_cache = region_cache
         else:
-            self._region_cache = self._ctx.make_region_cache()
+            self._region_cache = RegionScheduleCache(
+                context_fp=self._context_fp)
         #: aggregated incremental-evaluation counters (all backends)
         self.eval_stats = EvalStats()
         #: total evaluation requests (cache hits included)
         self.requests = 0
         self._pool: Optional[Executor] = None
         self._pool_broken = False
-        self._context_fp = self._fingerprint_context()
-        if self.tracer.enabled:
-            # markov.solve spans come from deep inside the scheduler;
-            # the hook is per process (workers install their own).
-            _markov.set_tracer(self.tracer)
 
     # -- cache keys -----------------------------------------------------
-    def _fingerprint_context(self) -> str:
-        ctx = self._ctx
-        return context_fingerprint(ctx.library, ctx.allocation,
-                                   ctx.sched_config, ctx.branch_probs,
-                                   ctx.objective)
-
     def key_for(self, behavior: Behavior) -> str:
-        """Cache key of ``behavior`` under this engine's fixed context."""
-        return _digest((self._context_fp + ":"
-                        + cached_fingerprint(behavior)).encode()
-                       ).hexdigest()
-
-    def _key_with_provenance(self, behavior: Behavior) -> str:
-        """Behavior cache key, through the rewrite pair index if it
-        applies.
+        """The :func:`~repro.core.evalcache.design_key` of ``behavior``
+        under this engine's context — the memo key, and the run store's.
 
         Children produced by :meth:`repro.rewrite.driver.RewriteDriver
         .apply` carry ``_rw_pair`` — the parent's raw fingerprint and
@@ -367,13 +338,12 @@ class EvaluationEngine:
         """
         pair = getattr(behavior, "_rw_pair", None)
         if pair is None:
-            return self.key_for(behavior)
+            return design_key(self._context_fp, behavior)
         pkey = pair[0] + ":" + pair[1]
-        known = self._pair_keys.get(pkey)
-        if known is not None:
-            return known
-        key = self.key_for(behavior)
-        self._pair_keys.put(pkey, key)
+        key = self._pair_keys.get(pkey)
+        if key is None:
+            key = design_key(self._context_fp, behavior)
+            self._pair_keys.put(pkey, key)
         return key
 
     # -- statistics -----------------------------------------------------
@@ -421,7 +391,7 @@ class EvaluationEngine:
         order: List[str] = []
         traced = self.tracer.enabled
         for i, (behavior, lineage) in enumerate(pairs):
-            key = self._key_with_provenance(behavior)
+            key = self.key_for(behavior)
             if key in pending:
                 # Duplicate within this batch: merged, counts as a hit.
                 self.cache.stats.hits += 1
@@ -485,7 +455,7 @@ class EvaluationEngine:
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers, initializer=_init_worker,
-                    initargs=(self._ctx,))
+                    initargs=(self._ctx, self._context_fp))
             except (OSError, ValueError, ImportError):
                 # No usable multiprocessing here: stay serial.
                 self._pool_broken = True
@@ -500,12 +470,6 @@ class EvaluationEngine:
         whose workers already died) is swallowed, leaving the engine in
         the serial-fallback state.
         """
-        # The markov.solve hook is deliberately NOT reset here: nested
-        # engines (a warm-start search inside an exploration run) share
-        # one tracer, and the outer engine must keep receiving spans
-        # after the inner one closes.  The next traced engine replaces
-        # the hook; an untraced engine leaves it alone (spans recorded
-        # into an already-exported tracer are simply never exported).
         pool, self._pool = self._pool, None
         if pool is None:
             return

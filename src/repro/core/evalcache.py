@@ -13,6 +13,9 @@ provides:
   everything with semantic weight: operation kinds, constants, edge
   structure, interface variable and array names, loop structure and
   trip counts, and the condition weight/alias bookkeeping;
+* :func:`design_key` — the one key of a design under an evaluation
+  context, shared by the engine's memo, its rewrite-pair index and the
+  explorer's run store;
 * :class:`EvalCache` — a bounded LRU mapping fingerprints to evaluation
   outcomes, with hit/miss/eviction statistics.
 
@@ -138,6 +141,19 @@ def cached_fingerprint(behavior: Behavior) -> str:
     fp = behavior_fingerprint(behavior)
     behavior._fp_canonical = (version, fp)  # type: ignore[attr-defined]
     return fp
+
+
+def design_key(context_fp: str, behavior: Behavior) -> str:
+    """The key of ``behavior`` under the evaluation context
+    ``context_fp`` (:func:`repro.core.engine.context_fingerprint`):
+    ``digest(context_fp ":" canonical fingerprint)``.
+
+    The run store persists designs under it and the evaluation engine
+    memoizes under it, so one canonical hash per behavior (memoized by
+    :func:`cached_fingerprint`) serves both.
+    """
+    return _digest((context_fp + ":" + cached_fingerprint(behavior))
+                   .encode()).hexdigest()
 
 
 def cached_raw_fingerprint(behavior: Behavior) -> str:

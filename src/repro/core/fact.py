@@ -61,6 +61,9 @@ class FactResult:
     search: SearchResult
     profile: Optional[Profile] = None
     hot_nodes: Optional[Set[int]] = None
+    #: the run's nominal supply and threshold voltages (``FactConfig``)
+    vdd: float = 5.0
+    vt: float = 1.0
 
     @property
     def telemetry(self):
@@ -104,19 +107,26 @@ class FactResult:
     # -- power metrics ---------------------------------------------------
     def power_report(self, library: Library,
                      cycle_time: float = 1.0) -> Dict[str, float]:
-        """Initial vs optimized power, with Vdd scaling for the latter."""
+        """Initial vs optimized power, with Vdd scaling for the latter.
+
+        Both designs run at the run's nominal ``vdd``; the optimized one
+        is scaled down to the initial schedule length when it is faster,
+        and reported at its own length and nominal ``vdd`` otherwise.
+        """
         assert self.initial.result is not None
         assert self.best.result is not None
         base_len = self.initial_length
         init_est = estimate_power(self.initial.result.stg,
                                   self.initial.result.behavior.graph,
-                                  library, vdd=5.0,
+                                  library, vdd=self.vdd,
                                   cycle_time=cycle_time)
         best_est = estimate_power(self.best.result.stg,
                                   self.best.result.behavior.graph,
-                                  library, vdd=5.0, cycle_time=cycle_time)
+                                  library, vdd=self.vdd,
+                                  cycle_time=cycle_time)
         vdd = scaled_vdd_for_schedule(min(self.best_length, base_len),
-                                      base_len)
+                                      base_len, vdd_initial=self.vdd,
+                                      vt=self.vt)
         best_power = (best_est.total_energy * vdd ** 2
                       / (max(base_len, self.best_length) * cycle_time))
         return {
@@ -147,16 +157,17 @@ class Fact:
         # Region-schedule caches keyed by evaluation context, shared by
         # every run of this Fact instance: objectives are not part of
         # the region-cache namespace, so e.g. a Table-2 throughput run
-        # warms the cache for the matching power run.  A caller owning a
-        # wider scope (the Pareto explorer) can pass its own registry so
-        # warm-start searches and the main exploration share schedules.
+        # warms the cache for the matching power run.  Pass a registry
+        # to share schedules across Fact instances.
         self._region_caches: Dict[str, RegionScheduleCache] = \
             region_caches if region_caches is not None else {}
 
-    def _region_cache_for(self, allocation: Allocation,
-                          branch_probs: Optional[BranchProbs]
-                          ) -> RegionScheduleCache:
-        """The shared per-context cache."""
+    def region_cache(self, allocation: Allocation,
+                     branch_probs: Optional[BranchProbs]
+                     ) -> RegionScheduleCache:
+        """The region-schedule cache this instance's runs share under
+        one evaluation context (the Pareto explorer schedules through
+        it too)."""
         fp = context_fingerprint(self.library, allocation,
                                  self.config.sched, branch_probs)
         cache = self._region_caches.get(fp)
@@ -190,8 +201,7 @@ class Fact:
                     prof = profile(behavior, traces)
                     branch_probs = dict(prof.branch_probs)
 
-            region_cache = self._region_cache_for(allocation,
-                                                  branch_probs)
+            region_cache = self.region_cache(allocation, branch_probs)
 
             # Step 1: schedule the untransformed behavior (through the
             # shared region cache, so the search's evaluation of the
@@ -240,4 +250,5 @@ class Fact:
             return FactResult(objective=objective,
                               initial=result.initial,
                               best=result.best, search=result,
-                              profile=prof, hot_nodes=hot)
+                              profile=prof, hot_nodes=hot,
+                              vdd=self.config.vdd, vt=self.config.vt)

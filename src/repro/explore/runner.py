@@ -13,12 +13,16 @@ transformation space:
 3. each generation expands the population through the shared
    :func:`repro.core.search.expand_candidates` step, evaluates every
    candidate through the persistent :class:`~repro.explore.store
-   .RunStore` (misses are scheduled by the PR-1
+   .RunStore` (misses are scheduled by the
    :class:`~repro.core.engine.EvaluationEngine`, fanning out across its
    ``ProcessPoolExecutor`` when ``workers >= 2``), folds the results
    into the elitist :class:`~repro.explore.pareto.ParetoFront` archive,
    and selects the next population by non-dominated sorting + crowding
    distance.
+
+Every evaluation — the input, the warm-start results, transferred
+designs and each generation — takes one store-then-engine path
+(:meth:`ExploreRunner._resolve`), keyed by the engine's design keys.
 
 **Determinism / resume contract**: the trajectory is a pure function of
 (seed, config, evaluation context).  After every generation the full
@@ -56,8 +60,7 @@ from ..synth.area import total_area
 from ..transforms import TransformLibrary, default_library
 from ..core.engine import (Evaluated, EvaluationEngine,
                            context_fingerprint)
-from ..sched.regioncache import RegionScheduleCache
-from ..core.evalcache import behavior_fingerprint
+from ..core.evalcache import cached_fingerprint
 from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT, Objective
 from ..core.search import SearchConfig, expand_candidates
@@ -160,10 +163,13 @@ class ExploreRunner:
                                   else default_store_root())
         self._context_fp = context_fingerprint(
             self.library, allocation, self.config.sched, branch_probs)
-        # Per-context region-schedule caches (see Fact): the warm-start
-        # searches and every generation of the main loop share one, so
-        # a unit scheduled during warm start is never rebuilt later.
-        self._region_caches: Dict[str, RegionScheduleCache] = {}
+        cfg = self.config
+        # The warm-start searches run on this Fact, and the main loop's
+        # engine schedules through the Fact's region cache, so a unit
+        # scheduled during warm start is never rebuilt later.
+        self._fact = Fact(self.library, self.transforms, FactConfig(
+            sched=cfg.sched, search=cfg.warm_start_search(),
+            vdd=cfg.vdd, vt=cfg.vt), trace=self.tracer)
         #: rewrite driver owning candidate enumeration for the main
         #: loop (memoized per behavior, incremental for its children);
         #: shared across generations and across resume.
@@ -185,14 +191,6 @@ class ExploreRunner:
             str, Tuple[Behavior, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
-    def _region_cache(self) -> RegionScheduleCache:
-        """The shared region-schedule cache of this runner's context."""
-        cache = self._region_caches.get(self._context_fp)
-        if cache is None:
-            cache = RegionScheduleCache(context_fp=self._context_fp)
-            self._region_caches[self._context_fp] = cache
-        return cache
-
     def request_stop(self) -> None:
         """Ask the loop to checkpoint and return after the current
         generation (what the SIGINT handler calls)."""
@@ -211,7 +209,9 @@ class ExploreRunner:
         engine = EvaluationEngine(
             self.library, self.allocation, Objective(THROUGHPUT),
             sched_config=cfg.sched, branch_probs=self.branch_probs,
-            workers=cfg.workers, region_cache=self._region_cache(),
+            workers=cfg.workers,
+            region_cache=self._fact.region_cache(self.allocation,
+                                                 self.branch_probs),
             tracer=self.tracer)
         telemetry = ExploreTelemetry(backend=engine.backend,
                                      workers=max(engine.workers, 1),
@@ -266,8 +266,13 @@ class ExploreRunner:
                             self.driver, seeds, rng,
                             max_per_seed=cfg.max_candidates_per_seed,
                             tracer=self.tracer)
-                        points, scheduled = self._evaluate_pairs(
-                            pairs, engine, baseline_length)
+                        resolved, scheduled = self._resolve(
+                            [behavior for behavior, _ in pairs], engine)
+                        points = [
+                            self._point(key, behavior, lineage, record,
+                                        baseline_length)
+                            for (behavior, lineage), (key, record)
+                            in zip(pairs, resolved) if record.feasible]
                         front.update(points)
                         population = self._next_population(population,
                                                            points)
@@ -329,7 +334,7 @@ class ExploreRunner:
                    ) -> Tuple[float, List[DesignPoint], ParetoFront]:
         """Evaluate the input (the baseline) and the warm starts."""
         cfg = self.config
-        key, record = self._resolve_one(self.behavior, engine)
+        [(key, record)], _ = self._resolve([self.behavior], engine)
         if not record.feasible:
             raise ExploreError(
                 "the input behavior itself cannot be scheduled under "
@@ -340,17 +345,12 @@ class ExploreRunner:
                                   baseline_length)]
         front.add(population[0])
         if cfg.warm_start:
-            fact = Fact(self.library, self.transforms, FactConfig(
-                sched=cfg.sched, search=cfg.warm_start_search(),
-                vdd=cfg.vdd, vt=cfg.vt),
-                region_caches=self._region_caches,
-                trace=self.tracer)
             for objective in cfg.warm_start_objectives:
-                result = fact.optimize(self.behavior, self.allocation,
-                                       objective=objective,
-                                       branch_probs=self.branch_probs)
+                result = self._fact.optimize(
+                    self.behavior, self.allocation, objective=objective,
+                    branch_probs=self.branch_probs)
                 best = result.best
-                k, rec = self._resolve_one(best.behavior, engine)
+                [(k, rec)], _ = self._resolve([best.behavior], engine)
                 if not rec.feasible:
                     continue
                 point = self._point(k, best.behavior, best.lineage,
@@ -393,7 +393,7 @@ class ExploreRunner:
         """
         cfg = self.config
         doc = self.store.nearest_transfer(
-            behavior_fingerprint(self.behavior),
+            cached_fingerprint(self.behavior),
             self._transfer_features(), exclude=self.run_fingerprint)
         if doc is None:
             return []
@@ -407,7 +407,9 @@ class ExploreRunner:
             for behavior, lineage in entries:
                 if len(adopted) >= cfg.transfer_seeds:
                     break
-                key, record = self._resolve_one(behavior, engine)
+                # One design at a time: adoption stops after
+                # transfer_seeds, so later entries are never scheduled.
+                [(key, record)], _ = self._resolve([behavior], engine)
                 if key in have or not record.feasible:
                     continue
                 have.add(key)
@@ -442,39 +444,26 @@ class ExploreRunner:
         try:
             self.store.record_transfer(
                 self.run_fingerprint,
-                behavior_fingerprint(self.behavior),
+                cached_fingerprint(self.behavior),
                 self._transfer_features(), entries)
         except Exception as exc:  # pickling oddities must not kill a run
             warnings.warn(f"cannot record warm-start transfer: {exc}",
                           RunStoreWarning, stacklevel=2)
 
     # -- evaluation -----------------------------------------------------
-    def _resolve_one(self, behavior: Behavior, engine: EvaluationEngine
-                     ) -> Tuple[str, StoredEval]:
-        key = RunStore.key_for(self._context_fp, behavior)
-        record = self.store.get(key)
-        if record is None:
-            metrics = self._measure(engine.evaluate(behavior))
-            self.store.put(key, metrics)
-            record = StoredEval(metrics)
-        return key, record
-
-    def _evaluate_pairs(self,
-                        pairs: Sequence[Tuple[Behavior,
-                                              Tuple[str, ...]]],
-                        engine: EvaluationEngine,
-                        baseline_length: float
-                        ) -> Tuple[List[DesignPoint], int]:
-        """Score candidates through the store; returns (points, how
-        many actually had to be scheduled)."""
-        keyed = [(behavior, lineage,
-                  RunStore.key_for(self._context_fp, behavior))
-                 for behavior, lineage in pairs]
+    def _resolve(self, behaviors: Sequence[Behavior],
+                 engine: EvaluationEngine
+                 ) -> Tuple[List[Tuple[str, StoredEval]], int]:
+        """The store-then-engine step: key each behavior through the
+        engine, read the store, schedule the misses (each distinct key
+        once), measure them and write them back.  Returns one (key,
+        record) per behavior and how many were scheduled."""
+        keys = [engine.key_for(behavior) for behavior in behaviors]
         resolved: Dict[str, StoredEval] = {}
         misses: List[Tuple[Behavior, str]] = []
-        for behavior, _lineage, key in keyed:
+        for behavior, key in zip(behaviors, keys):
             if key in resolved:
-                # Duplicate within the generation: counts as a hit.
+                # Duplicate within the batch: counts as a hit.
                 self.store.stats.hits += 1
                 continue
             record = self.store.get(key)
@@ -483,22 +472,14 @@ class ExploreRunner:
             else:
                 resolved[key] = StoredEval(None)  # placeholder
                 misses.append((behavior, key))
-        scheduled = len(misses)
         if misses:
             evaluated = engine.evaluate_batch(
                 [(behavior, ()) for behavior, _ in misses])
-            for (behavior, key), ev in zip(misses, evaluated):
+            for (_, key), ev in zip(misses, evaluated):
                 metrics = self._measure(ev)
                 self.store.put(key, metrics)
                 resolved[key] = StoredEval(metrics)
-        points: List[DesignPoint] = []
-        for behavior, lineage, key in keyed:
-            record = resolved[key]
-            if not record.feasible:
-                continue
-            points.append(self._point(key, behavior, lineage, record,
-                                      baseline_length))
-        return points, scheduled
+        return [(key, resolved[key]) for key in keys], len(misses)
 
     def _measure(self, evaluated: Evaluated
                  ) -> Optional[DesignMetrics]:

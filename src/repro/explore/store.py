@@ -1,14 +1,16 @@
 """The content-addressed on-disk run store.
 
-Every design the explorer evaluates is persisted under a key extending
-the WL-hash scheme of :mod:`repro.core.evalcache`::
+Every design the explorer evaluates is persisted under its
+:func:`repro.core.evalcache.design_key`::
 
     key = digest(context_fingerprint ":" behavior_fingerprint)
 
 where the context fingerprint (:func:`repro.core.engine
-.context_fingerprint`, *without* an objective) pins the library,
-allocation, scheduler configuration and branch probabilities, and the
-behavior fingerprint is invariant under node renumbering.  Records hold
+.context_fingerprint`) pins the library, allocation, scheduler
+configuration and branch probabilities, and the behavior fingerprint
+is invariant under node renumbering.  The evaluation engine memoizes
+under the same key, so the explorer reads store keys through
+:meth:`repro.core.engine.EvaluationEngine.key_for`.  Records hold
 objective-independent raw metrics (schedule length, energy, area), so
 one evaluation serves throughput, power *and* area scoring — and every
 later run or concurrent process sharing the context.
@@ -55,9 +57,8 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..cdfg.ir import _digest
 from ..cdfg.regions import Behavior
-from ..core.evalcache import CacheStats, behavior_fingerprint
+from ..core.evalcache import CacheStats, design_key
 from ..errors import ExploreError
 from .pareto import DesignMetrics
 
@@ -169,10 +170,9 @@ class RunStore:
     # -- keys -----------------------------------------------------------
     @staticmethod
     def key_for(context_fp: str, behavior: Behavior) -> str:
-        """Store key of ``behavior`` under a fixed evaluation context."""
-        return _digest((context_fp + ":"
-                        + behavior_fingerprint(behavior)).encode()
-                       ).hexdigest()
+        """Store key of ``behavior`` under a fixed evaluation context
+        (its :func:`~repro.core.evalcache.design_key`)."""
+        return design_key(context_fp, behavior)
 
     def _path(self, key: str) -> Path:
         return self.root / LAYOUT_DIR / key[:2] / f"{key}.json"

@@ -226,8 +226,7 @@ class Scheduler:
             return frag
         return compose(ctx.stg, [self._memoized(ctx, [lp]) for lp in run])
 
-    @staticmethod
-    def _measure(ctx: ScheduleContext,
+    def _measure(self, ctx: ScheduleContext,
                  build: Callable[[ScheduleContext], Optional[Frag]]
                  ) -> Optional[float]:
         """Expected cycles of a fragment built into a scratch STG."""
@@ -247,7 +246,7 @@ class Scheduler:
             connect(scratch, [(entry, 1.0, "")], frag.entries)
             connect(scratch, frag.exits, [(exit_, 1.0, "")])
         scratch.entry, scratch.exit = entry, exit_
-        return average_schedule_length(scratch)
+        return average_schedule_length(scratch, self.tracer)
 
     # -- units and variants --------------------------------------------
     def _memoized(self, ctx: ScheduleContext,
@@ -386,7 +385,7 @@ class Scheduler:
         scratch.entry, scratch.exit = entry, exit_
         t0 = time.perf_counter()
         try:
-            return average_schedule_length(scratch)
+            return average_schedule_length(scratch, self.tracer)
         finally:
             self.region_cache.solver_time += time.perf_counter() - t0
 
@@ -406,7 +405,7 @@ class Scheduler:
         visits: Dict[int, float] = {}
         ok = True
         for cached, idmap in self._pieces:
-            fv = cache.visits_of(cached)
+            fv = cache.visits_of(cached, self.tracer)
             if fv is None:
                 ok = False
                 break
@@ -431,7 +430,7 @@ class Scheduler:
             span.set(markov_fallback=True)
         t0 = time.perf_counter()
         try:
-            full = expected_visits(stg)
+            full = expected_visits(stg, self.tracer)
         finally:
             cache.solver_time += time.perf_counter() - t0
         cache.markov_full += 1

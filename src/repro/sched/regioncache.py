@@ -52,6 +52,7 @@ from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
 from ..errors import MarkovError, ScheduleError
+from ..obs.trace import NULL_TRACER, AnyTracer
 from ..stg.markov import fragment_visits
 from ..stg.model import ScheduledOp, Stg
 from .fragments import Frag, Port
@@ -245,7 +246,8 @@ class RegionScheduleCache:
         return f"{key}:{variant}" if variant else key
 
     # -- localized Markov analysis --------------------------------------
-    def visits_of(self, cached: CachedFragment
+    def visits_of(self, cached: CachedFragment,
+                  tracer: AnyTracer = NULL_TRACER
                   ) -> Optional[Dict[int, float]]:
         """Expected-visit totals of the fragment's sub-chain, memoized.
 
@@ -267,7 +269,7 @@ class RegionScheduleCache:
             sources[sid] = sources.get(sid, 0.0) + weight
         t0 = time.perf_counter()
         try:
-            cached.visits = fragment_visits(cached.stg, sources)
+            cached.visits = fragment_visits(cached.stg, sources, tracer)
         except MarkovError:
             cached.solve_failed = True
             return None

@@ -17,10 +17,8 @@ reference [10]) used throughout Section 2.2:
   be spliced into a candidate's analysis without re-solving the whole
   system.
 
-Observability: every linear solve can be wrapped in a ``markov.solve``
-span.  Because the solvers are called from deep inside the scheduler
-(and from pool workers), the tracer is installed per process with
-:func:`set_tracer` rather than threaded through every call; the default
+Observability: every linear solve opens a ``markov.solve`` span on the
+``tracer`` its caller passes (the scheduler passes its own); the default
 is the no-op :data:`~repro.obs.trace.NULL_TRACER`.
 """
 
@@ -35,33 +33,19 @@ from ..errors import MarkovError
 from ..obs.trace import NULL_TRACER, AnyTracer
 from .model import Stg, Transition
 
-#: Process-local tracer for markov.solve spans (see :func:`set_tracer`).
-_TRACER: AnyTracer = NULL_TRACER
-
 #: Seconds this process has spent inside absorbing-chain solves (see
 #: :func:`solve_seconds`).
 _SOLVE_SECONDS = 0.0
 
 
-def set_tracer(tracer: AnyTracer) -> None:
-    """Install the process-local tracer for ``markov.solve`` spans.
-
-    Called by the evaluation engine (and by each traced pool worker's
-    initializer) when tracing is enabled; pass
-    :data:`~repro.obs.trace.NULL_TRACER` to disable again.
-    """
-    global _TRACER
-    _TRACER = tracer if tracer is not None else NULL_TRACER
-
-
 def solve_seconds() -> float:
     """Seconds this process has spent inside absorbing-chain solves.
 
-    A monotone process-local counter, like the tracer hook: the
-    evaluation engine diffs it around each candidate and ships the
-    delta home as ``EvalStats.numeric_seconds`` (matrix assembly from
-    transitions, LAPACK and the validity check — the numeric core
-    without the STG walk around it).
+    A monotone process-local counter: the evaluation engine diffs it
+    around each candidate and ships the delta home as
+    ``EvalStats.numeric_seconds`` (matrix assembly from transitions,
+    LAPACK and the validity check — the numeric core without the STG
+    walk around it).
     """
     return _SOLVE_SECONDS
 
@@ -94,7 +78,7 @@ def _sparse_solve(transitions: List[Transition], index: Dict[int, int],
 
 
 def _solve_visits(name: str, transitions: List[Transition],
-                  index: Dict[int, int], n: int, e):
+                  index: Dict[int, int], n: int, e, tracer: AnyTracer):
     """Solve ``v = e + Qᵀ v`` over the states in ``index``.
 
     ``Q`` keeps only transitions whose source *and* destination are
@@ -105,7 +89,7 @@ def _solve_visits(name: str, transitions: List[Transition],
     global _SOLVE_SECONDS
     t0 = time.perf_counter()
     try:
-        with _TRACER.span("markov.solve", states=n,
+        with tracer.span("markov.solve", states=n,
                           method="sparse" if n > SPARSE_THRESHOLD
                           else "dense") as span:
             try:
@@ -133,7 +117,8 @@ def _solve_visits(name: str, transitions: List[Transition],
         _SOLVE_SECONDS += time.perf_counter() - t0
 
 
-def expected_visits(stg: Stg) -> Dict[int, float]:
+def expected_visits(stg: Stg, tracer: AnyTracer = NULL_TRACER
+                    ) -> Dict[int, float]:
     """Expected number of entries into each state per execution.
 
     Solves ``v = e_entry + Qᵀ v`` where ``Q`` is the transition matrix
@@ -159,14 +144,14 @@ def expected_visits(stg: Stg) -> Dict[int, float]:
     e = np.zeros(n)
     if stg.entry != stg.exit:
         e[index[stg.entry]] = 1.0
-    v = _solve_visits(stg.name, stg.transitions, index, n, e)
+    v = _solve_visits(stg.name, stg.transitions, index, n, e, tracer)
     visits = {sid: max(float(v[i]), 0.0) for sid, i in index.items()}
     visits[stg.exit] = 1.0
     return visits
 
 
-def fragment_visits(stg: Stg, sources: Mapping[int, float]
-                    ) -> Dict[int, float]:
+def fragment_visits(stg: Stg, sources: Mapping[int, float],
+                    tracer: AnyTracer = NULL_TRACER) -> Dict[int, float]:
     """Expected entries into each state of an STG *fragment*.
 
     The localized re-analysis primitive: ``stg`` holds one region's
@@ -203,13 +188,14 @@ def fragment_visits(stg: Stg, sources: Mapping[int, float]
             raise MarkovError(
                 f"{stg.name}: fragment source state {sid} does not exist")
         e[index[sid]] += weight
-    v = _solve_visits(stg.name, stg.transitions, index, n, e)
+    v = _solve_visits(stg.name, stg.transitions, index, n, e, tracer)
     return {sid: max(float(v[i]), 0.0) for sid, i in index.items()}
 
 
-def average_schedule_length(stg: Stg) -> float:
+def average_schedule_length(stg: Stg,
+                            tracer: AnyTracer = NULL_TRACER) -> float:
     """Expected cycles for one execution (entry → exit, inclusive)."""
-    return float(sum(expected_visits(stg).values()))
+    return float(sum(expected_visits(stg, tracer).values()))
 
 
 def state_probabilities(stg: Stg,

@@ -11,7 +11,9 @@ This transformation makes one step of that explicit on the CDFG, for
 * *pure* cloned operations execute **speculatively** (unguarded) — their
   results are simply discarded when ``cond₂`` is false;
 * memory accesses in the clone stay guarded by ``cond₂`` (stores are
-  side effects, loads can fault);
+  side effects, loads can fault), and so does every cloned operation
+  that reads a guarded clone (its operand does not exist when ``cond₂``
+  is false);
 * each loop-carried variable merges through a join selecting the second
   copy's value when ``cond₂`` held and the first copy's otherwise.
 
@@ -29,7 +31,7 @@ condition's profile (the iteration process is memoryless).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import FREE_KINDS, OpKind
@@ -166,8 +168,10 @@ def speculative_unroll(behavior: Behavior, loop_name: str) -> None:
         clone(nid, extra_guard=None)
     cond2 = env[loop.cond]
 
-    # 2. Clone the body.  Pure ops run speculatively; memory accesses
-    #    stay guarded by cond2 and serialize after copy 1's accesses.
+    # 2. Clone the body.  Pure ops run speculatively; memory accesses,
+    #    and clones reading a guarded clone, stay guarded by cond2, and
+    #    accesses serialize after copy 1's.
+    guarded: Set[int] = set()
     last_access: Dict[str, List[int]] = {}
     for nid in body_ids:
         node = g.nodes[nid]
@@ -175,8 +179,13 @@ def speculative_unroll(behavior: Behavior, loop_name: str) -> None:
             last_access.setdefault(node.array or "", []).append(nid)
     for nid in g.topo_order(body_ids):
         node = g.nodes[nid]
-        guard = cond2 if node.kind in _GUARDED_KINDS else None
+        reads_guarded = any(remap(src) in guarded
+                            for src in g.input_ports(nid).values())
+        guard = cond2 if (node.kind in _GUARDED_KINDS
+                          or reads_guarded) else None
         new = clone(nid, extra_guard=guard)
+        if guard is not None:
+            guarded.add(new)
         for pred in g.order_preds(nid):
             if pred in env:
                 g.add_order_edge(env[pred], new)

@@ -521,8 +521,8 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         "wide hoist#0": "5f2efc240dd9239b",
         "narrow hoist#1": "c76916f9fb18e60a",
         "wide hoist#1": "df10f152fe0f52ce",
-        "narrow spec_unroll#0": "97ae8a308429f1a5",
-        "wide spec_unroll#0": "97ae8a308429f1a5",
+        "narrow spec_unroll#0": "835358daf9d74188",
+        "wide spec_unroll#0": "d30018cc624b9abb",
         "narrow speculation#0": "e8ef22f95162c7f6",
         "wide speculation#0": "c2376f0f287e7d86",
         "narrow speculation#1": "e8ef22f95162c7f6",
@@ -557,10 +557,10 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         "wide hoist#0": "bb24f6085a59c5bb",
         "narrow hoist#1": "9a32506aa1467297",
         "wide hoist#1": "a90b6cd10ae4d6b2",
-        "narrow spec_unroll#0": "82e878f0702ef30d",
-        "wide spec_unroll#0": "4f25432610897283",
-        "narrow spec_unroll#1": "de368b95075118d6",
-        "wide spec_unroll#1": "de368b95075118d6",
+        "narrow spec_unroll#0": "c1dc254f01a4216f",
+        "wide spec_unroll#0": "8f8084914ba3a772",
+        "narrow spec_unroll#1": "7589c68c34c304b4",
+        "wide spec_unroll#1": "ddcb672a72d879a6",
         "narrow speculation#0": "f5ffa04e38b3b516",
         "wide speculation#0": "8db3ec0bbafce152",
         "narrow speculation#1": "f5ffa04e38b3b516",
@@ -599,8 +599,8 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         "wide hoist#0": "b43684912ec384b2",
         "narrow hoist#1": "4a10803672e4b873",
         "wide hoist#1": "7d80809d3a38ea4e",
-        "narrow spec_unroll#0": "33aea52b1885dc64",
-        "wide spec_unroll#0": "33aea52b1885dc64",
+        "narrow spec_unroll#0": "dcd0530b2757d459",
+        "wide spec_unroll#0": "764aa4994e939cba",
         "narrow speculation#0": "51d9206cf352c397",
         "wide speculation#0": "314f3342c73bfb08",
         "narrow speculation#1": "7ceae36287c9dcc2",

@@ -14,6 +14,7 @@ from repro.errors import SearchError
 from repro.hw import dac98_library
 from repro.lang import compile_source
 from repro.profiling import profile, uniform_traces
+from repro.rewrite.driver import RewriteDriver
 from repro.transforms import default_library
 
 LIB = dac98_library()
@@ -190,6 +191,30 @@ class TestEvaluationEngine:
         assert out[0].score == out[1].score
         assert out[1].lineage == ("dup",)
         assert eng.stats.hits == 1 and eng.stats.misses == 1
+
+
+class TestProvenanceIndex:
+    def test_known_pair_skips_the_wl_hash(self, monkeypatch):
+        """A second child of the same (parent, match) pair is keyed
+        from the provenance index, without a WL pass."""
+        beh, eng = _gcd_engine()
+        driver = RewriteDriver(default_library())
+        cand = driver.candidates(beh)[0]
+        first = driver.apply(beh, cand)
+        second = driver.apply(beh, cand)
+        passes = []
+        real = Graph.canonical_node_keys
+
+        def counting(graph, *args, **kwargs):
+            passes.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "canonical_node_keys", counting)
+        with eng:
+            key = eng.key_for(first)
+            assert len(passes) == 1
+            assert eng.key_for(second) == key
+        assert len(passes) == 1
 
 
 def _memo_served_rescores(wrong_entry=False):

@@ -5,8 +5,8 @@ import pytest
 from repro.baselines import run_flamel, run_m1
 from repro.bench import allocation_for
 from repro.cdfg import execute
-from repro.core import (Fact, FactConfig, Objective, SearchConfig,
-                        THROUGHPUT, TransformSearch)
+from repro.core import (Fact, FactConfig, Objective, POWER,
+                        SearchConfig, THROUGHPUT, TransformSearch)
 from repro.hw import Allocation, dac98_library
 from repro.lang import compile_source
 from repro.profiling import uniform_traces
@@ -87,6 +87,24 @@ class TestFactPower:
         assert report["scaled_vdd"] <= 5.0
         # Power optimization should find some saving on GCD.
         assert report["reduction"] > 0.05
+
+    def test_report_honors_supply_and_threshold(self):
+        """The report scores both designs at the run's own Vdd and Vt,
+        exactly as the search's power objective did."""
+        beh = compile_source(GCD_SRC)
+        alloc = allocation_for("gcd")
+        traces = uniform_traces(beh, 8, lo=1, hi=60, seed=5)
+        fact = Fact(LIB, config=small_config(vdd=3.3, vt=0.7))
+        res = fact.optimize(beh, alloc, traces=traces, objective=POWER)
+        report = res.power_report(LIB)
+        objective = Objective(POWER, baseline_length=res.initial_length,
+                              vdd=3.3, vt=0.7)
+        assert report["initial_power"] == pytest.approx(
+            objective.evaluate(res.initial.result), rel=1e-9)
+        assert res.best_length <= res.initial_length
+        assert report["optimized_power"] == pytest.approx(
+            objective.evaluate(res.best.result), rel=1e-9)
+        assert report["scaled_vdd"] <= 3.3
 
 
 class TestBaselines:

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import JobState
+from repro.cdfg.ir import Graph
 from repro.core.search import SearchConfig
 from repro.errors import ExploreError
 from repro.explore import (ExploreConfig, ExploreRunner, ParetoFront,
@@ -80,6 +81,33 @@ class TestRun:
         assert all(g.scheduled == 0
                    for g in result.telemetry.generations)
         assert store.stats.hit_rate == 1.0
+
+    def test_each_design_is_hashed_once(self, gcd_setup, tmp_path,
+                                        monkeypatch):
+        """Store keys are the engine's design keys, so a behavior is
+        WL-hashed at most once, and a known (parent, match) pair is not
+        hashed at all.  A design reached through two lineages must be
+        hashed once per lineage to be recognized, which is what the
+        store-hit allowance covers."""
+        hashed, keys = [], set()
+        real_hash, real_get = Graph.canonical_node_keys, RunStore.get
+
+        def counting_hash(graph, *args, **kwargs):
+            hashed.append((graph, graph.version))
+            return real_hash(graph, *args, **kwargs)
+
+        def recording_get(store, key):
+            keys.add(key)
+            return real_get(store, key)
+
+        monkeypatch.setattr(Graph, "canonical_node_keys", counting_hash)
+        monkeypatch.setattr(RunStore, "get", recording_get)
+        cfg = small_config()
+        cfg.warm_start = False
+        runner = make_runner(gcd_setup, tmp_path, config=cfg)
+        runner.run()
+        assert len({(id(g), v) for g, v in hashed}) == len(hashed)
+        assert len(hashed) <= len(keys) + runner.store.stats.hits
 
     def test_unschedulable_input_raises(self, tmp_path):
         beh = repro.compile(GCD)

@@ -8,12 +8,15 @@ from contextlib import contextmanager
 import pytest
 
 import repro
-from repro.core.engine import context_fingerprint
+from repro.core.engine import EvaluationEngine, context_fingerprint
 from repro.core.evalcache import CacheStats
+from repro.core.objectives import POWER, Objective
 from repro.explore import (DesignMetrics, RunStore, RunStoreWarning,
                            STORE_SCHEMA, default_store_root)
 from repro.hw import dac98_library
+from repro.rewrite.driver import RewriteDriver
 from repro.sched.types import SchedConfig
+from repro.transforms import default_library
 
 GCD = """
 proc gcd(in a, in b, out g) {
@@ -53,15 +56,21 @@ class TestKeys:
                                    SchedConfig())
         assert RunStore.key_for(ctx2, beh) != key
         assert RunStore.key_for(ctx, repro.compile(GCD)) == key
+        # The key format is pinned: existing stores must keep hitting.
+        assert ctx == "33c76ab0902bbb923fb4cec018fd0be4"
+        assert key == "57b1107768b1b46fada8b04baec705fe"
 
-    def test_context_fingerprint_objective_optional(self):
-        from repro.core.objectives import Objective
+    def test_store_key_is_the_engine_key(self):
         lib = dac98_library()
-        alloc = repro.coerce_allocation("a1=1")
-        bare = context_fingerprint(lib, alloc, SchedConfig())
-        with_obj = context_fingerprint(lib, alloc, SchedConfig(),
-                                       objective=Objective())
-        assert bare != with_obj
+        alloc = repro.coerce_allocation("sb1=2,cp1=1,e1=1")
+        ctx = context_fingerprint(lib, alloc, SchedConfig())
+        beh = repro.compile(GCD)
+        driver = RewriteDriver(default_library())
+        child = driver.apply(beh, driver.candidates(beh)[0])
+        with EvaluationEngine(lib, alloc, Objective(POWER)) as engine:
+            for design in (beh, child):
+                assert RunStore.key_for(ctx, design) \
+                    == engine.key_for(design)
 
 
 class TestRoundTrip:

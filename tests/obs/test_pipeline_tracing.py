@@ -107,6 +107,29 @@ class TestDeterminism:
             == _fingerprint(_optimize(trace=None, workers=0))
 
 
+class TestMarkovSpans:
+    def test_finished_tracer_stops_growing(self):
+        """markov.solve spans follow the run's tracer: a later untraced
+        run records nothing into an earlier run's tracer."""
+        tracer = Tracer()
+        _optimize(trace=tracer)
+        recorded = len(tracer.spans)
+        _optimize(trace=None)
+        assert len(tracer.spans) == recorded
+
+    def test_input_schedule_records_its_solves(self):
+        tracer = Tracer()
+        _optimize(trace=tracer)
+        by_id = {s.id: s for s in tracer.spans}
+        (root,) = [s for s in tracer.spans if s.name == "optimize"]
+        first = [s for s in tracer.spans
+                 if s.name == "schedule" and s.parent == root.id]
+        assert len(first) == 1
+        solves = [s for s in tracer.spans if s.name == "markov.solve"
+                  and by_id[s.parent] is first[0]]
+        assert solves
+
+
 class TestWorkerAdoption:
     def test_worker_spans_reparented_across_pids(self):
         tracer = Tracer()

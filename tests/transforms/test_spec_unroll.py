@@ -32,6 +32,14 @@ proc cd(in n, out r) {
 }
 """
 
+XOR_LOAD = """
+proc p(in n, array a[8], out r) {
+    acc = 0; i = 0;
+    while (i < n) { acc = a[i] ^ acc; i = i + 1; }
+    r = acc;
+}
+"""
+
 WITH_STORE = """
 proc ws(in n, array out_buf[64], out last) {
     var i = 0;
@@ -107,6 +115,18 @@ class TestFunctionalEquivalence:
         got = execute(t, {"n": n})
         assert got.arrays == ref.arrays
         assert got.outputs == ref.outputs
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_clone_reading_guarded_load_is_guarded(self, n):
+        """The cloned xor reads the cond2-guarded cloned load, so it
+        must not run when the second iteration does not (odd n)."""
+        beh = compile_source(XOR_LOAD)
+        t = beh.copy()
+        speculative_unroll(t, "L1")
+        validate_behavior(t)
+        arrays = {"a": [3, 5, 7, 11, 13, 17, 19, 23]}
+        assert execute(t, {"n": n}, arrays).outputs \
+            == execute(beh, {"n": n}, arrays).outputs
 
     def test_double_unroll_is_still_exact(self):
         beh = compile_source(COUNTDOWN)

@@ -30,7 +30,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Docs whose examples must execute (satellite guides with ``>>>``).
 DOCTEST_FILES = ("docs/observability.md", "docs/architecture.md",
                  "docs/transformations.md", "docs/service.md",
-                 "docs/fuzzing.md", "docs/search.md")
+                 "docs/fuzzing.md", "docs/search.md",
+                 "docs/performance.md")
 
 #: Directories never scanned for markdown.
 SKIP_DIRS = {".git", ".github", "node_modules", "__pycache__",
