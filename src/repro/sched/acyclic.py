@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import ScheduleError
+from ..errors import CdfgError, ScheduleError
 from ..cdfg.ir import Graph
 from .restable import LinearTable, ModuloTable
 from .types import (BlockSchedule, OpSlot, Position, ResourceModel,
@@ -40,14 +40,53 @@ _HORIZON = 100_000
 def compute_priorities(graph: Graph, nodes: Iterable[int],
                        rm: ResourceModel) -> Dict[int, float]:
     """Critical-path-to-sink priority, in ns, within the node set."""
-    ids = set(nodes)
-    order = graph.topo_order(ids)
+    succ, indeg = _dependences(graph, set(nodes))
+    return _critical_paths(succ, indeg, rm)
+
+
+def _dependences(graph: Graph, ids: Set[int]
+                 ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
+    """The op set's dependence plan: each node's in-set successors
+    (data, control and order edges, each successor once) and each
+    node's in-set predecessor count."""
+    succ = {nid: [s for s in graph.succs(nid) if s in ids] for nid in ids}
+    indeg = dict.fromkeys(ids, 0)
+    for outs in succ.values():
+        for s in outs:
+            indeg[s] += 1
+    return succ, indeg
+
+
+def _critical_paths(succ: Dict[int, List[int]], indeg: Dict[int, int],
+                    rm: ResourceModel) -> Dict[int, float]:
+    """Each node's delay plus its successors' largest priority, in one
+    pass over a topological order of the plan.  Any topological order
+    gives the same result: each node does one addition and ``max`` is
+    exact.
+
+    Raises:
+        CdfgError: if the op set has a dependence cycle (the message
+            :meth:`Graph.topo_order` gives).
+    """
+    left = dict(indeg)
+    stack = [nid for nid, d in left.items() if d == 0]
+    order: List[int] = []
+    while stack:
+        nid = stack.pop()
+        order.append(nid)
+        for s in succ[nid]:
+            left[s] -= 1
+            if left[s] == 0:
+                stack.append(s)
+    if len(order) != len(succ):
+        cyclic = sorted(nid for nid, d in left.items() if d > 0)
+        raise CdfgError(f"cycle among nodes {cyclic[:8]}")
     prio: Dict[int, float] = {}
     for nid in reversed(order):
         succ_best = 0.0
-        for s in graph.succs(nid):
-            if s in ids:
-                succ_best = max(succ_best, prio.get(s, 0.0))
+        for s in succ[nid]:
+            if prio[s] > succ_best:
+                succ_best = prio[s]
         prio[nid] = rm.delay_of(nid) + succ_best
     return prio
 
@@ -74,31 +113,23 @@ def schedule_acyclic(graph: Graph, nodes: Iterable[int], rm: ResourceModel,
         ScheduleError: if some op can never be placed (e.g. zero
             allocation for its FU type, or no free slot in a modulo
             table at its II).
+        CdfgError: if the op set has a dependence cycle.
     """
     ids = set(nodes)
-    prio = compute_priorities(graph, ids, rm)
-    indeg: Dict[int, int] = {}
-    for nid in ids:
-        indeg[nid] = sum(1 for p in graph.preds(nid) if p in ids)
+    succ, indeg = _dependences(graph, ids)
+    prio = _critical_paths(succ, indeg, rm)
     ready = [(-prio[n], n) for n in ids if indeg[n] == 0]
     heapq.heapify(ready)
     sched = BlockSchedule()
-    placed = 0
     while ready:
         _negp, nid = heapq.heappop(ready)
         slot = _place_op(graph, nid, ids, rm, config, table, sched,
                          earliest)
         sched.slots[nid] = slot
-        placed += 1
-        for s in graph.succs(nid):
-            if s in ids:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (-prio[s], s))
-    if placed != len(ids):
-        raise ScheduleError(
-            f"scheduled {placed}/{len(ids)} ops; dependence cycle in "
-            f"op set")
+        for s in succ[nid]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heapq.heappush(ready, (-prio[s], s))
     sched.n_cycles = max(
         (s.end_cycle + 1 for s in sched.slots.values()), default=0)
     return sched

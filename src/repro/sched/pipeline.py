@@ -19,14 +19,16 @@ The kernel is emitted as II cyclic states; iterations drain for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..cdfg.analysis import Guard, conflicts
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import BlockRegion, LoopRegion, SeqRegion
 from ..errors import ScheduleError
 from ..stg.model import ScheduledOp
-from .acyclic import schedule_acyclic
+from .acyclic import _EPS, schedule_acyclic
 from .branching import ScheduleContext
 from .fragments import Frag, Port
 from .restable import ModuloTable
@@ -109,15 +111,76 @@ def _carried_ok(ctx: ScheduleContext, loop: LoopRegion, ids: Set[int],
     return True
 
 
+def min_ii(ctx: ScheduleContext, nodes: Iterable[int]) -> Optional[int]:
+    """A proven lower bound on the II at which ``nodes`` fit a modulo
+    table, or None if no II can fit them.
+
+    At every smaller II, :func:`schedule_acyclic` on a
+    :class:`ModuloTable` raises ``ScheduleError``:
+
+    * **Op length.** ``_place_op`` rejects an op spanning more cycles
+      (``ceil(delay / clock)``) than the II.
+    * **Resource count.** The table stacks ops on one FU instance only
+      when they are mutually exclusive.  Ops on one resource whose
+      guards pairwise do not conflict need their summed residues within
+      ``II × capacity``.  They are picked greedily: group the ops by
+      effective guard, then take groups largest load first, skipping a
+      group whose guard conflicts with itself or with a chosen one.
+
+    None means an op needs a resource the allocation lacks, on which
+    every attempt raises.
+    """
+    rm, guards, clock = ctx.rm, ctx.guards, ctx.config.clock
+    bound = 1
+    # resource -> effective guard -> summed residues
+    loads: Dict[str, Dict[Guard, int]] = {}
+    for nid in nodes:
+        resource, delay = rm.resource_of(nid), rm.delay_of(nid)
+        if resource is None:
+            if delay <= 0:
+                continue   # wiring: never touches the table
+        elif rm.capacity_of(resource) < 1:
+            return None
+        cycles = math.ceil(delay / clock - _EPS)
+        bound = max(bound, cycles)
+        if resource is not None:
+            # Residues it holds wherever it lands: one if it fits in a
+            # cycle, else ``cycles`` (it can only start at offset 0).
+            by_guard = loads.setdefault(resource, {})
+            guard = guards.effective_guard(nid)
+            by_guard[guard] = (by_guard.get(guard, 0)
+                               + (1 if delay <= clock + _EPS else cycles))
+    for resource, by_guard in loads.items():
+        chosen: List[Guard] = []
+        total = 0
+        for guard, load in sorted(by_guard.items(),
+                                  key=lambda item: -item[1]):
+            if conflicts(guard, guard) or any(conflicts(guard, other)
+                                              for other in chosen):
+                continue
+            chosen.append(guard)
+            total += load
+        bound = max(bound, -(-total // rm.capacity_of(resource)))
+    return bound
+
+
 def modulo_schedule(ctx: ScheduleContext, nodes: List[int],
                     loops: Sequence[LoopRegion]
                     ) -> Optional[Tuple[BlockSchedule, int]]:
     """Modulo-schedule ``nodes`` at the smallest II (up to ``max_ii``)
     whose table fits them and closes every loop-carried dependence of
-    ``loops``; returns ``(schedule, II)``, or None if no II works."""
+    ``loops``; returns ``(schedule, II)``, or None if no II works.
+
+    The search starts at :func:`min_ii`: every II below it fails, so
+    the result is that of a search from II = 1.  Loop-carried
+    dependences are checked at each attempt.
+    """
+    lowest = min_ii(ctx, nodes)
+    if lowest is None:
+        return None
     ids = set(nodes)
     share = ctx.guards.mutually_exclusive
-    for ii in range(1, ctx.config.max_ii + 1):
+    for ii in range(lowest, ctx.config.max_ii + 1):
         table = ModuloTable(ii, ctx.rm.capacity_of, share=share)
         try:
             sched = schedule_acyclic(ctx.graph, nodes, ctx.rm, ctx.config,

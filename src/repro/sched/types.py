@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import FREE_KINDS, OpKind
+from ..errors import ConfigError
 from ..hw import Allocation, Library, memory_resource_name
 
 
@@ -29,6 +31,11 @@ class SchedConfig:
         max_states: abort scheduling when the STG grows beyond this
             (guards against path-explosion on degenerate inputs; the
             candidate is then scored unschedulable).
+
+    Raises:
+        ConfigError: at construction, unless ``clock`` is finite and
+            positive, ``max_ii`` and ``max_states`` are at least 1 and
+            ``default_branch_prob`` lies in [0, 1].
     """
 
     clock: float = 25.0
@@ -38,6 +45,21 @@ class SchedConfig:
     max_ii: int = 256
     default_branch_prob: float = 0.5
     max_states: int = 3_000
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.clock, Real)
+                and math.isfinite(self.clock) and self.clock > 0):
+            raise ConfigError(f"clock period must be a finite number of "
+                              f"ns > 0, got {self.clock!r}")
+        for name in ("max_ii", "max_states"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got "
+                                  f"{value!r}")
+        p = self.default_branch_prob
+        if not (isinstance(p, Real) and 0.0 <= p <= 1.0):
+            raise ConfigError(f"default_branch_prob must lie in [0, 1], "
+                              f"got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,10 @@ class ResourceModel:
     Wraps the component library, the allocation, and the behavior's
     array declarations.  Shift-by-constant operations are wiring (free),
     as are the paper's cost-free kinds (joins, copies, constants).
+
+    Each node's resource and delay are memoized until ``graph.version``
+    moves, so mutate the graph only through ``Graph`` mutators or
+    ``Graph.touch`` while a model is in use.
     """
 
     def __init__(self, graph: Graph, library: Library,
@@ -105,19 +131,16 @@ class ResourceModel:
         self.library = library
         self.allocation = allocation
         self.array_ports = dict(array_ports or {})
+        self._version = graph.version
+        self._memo: Dict[int, Tuple[Optional[str], float]] = {}
 
     def resource_of(self, nid: int) -> Optional[str]:
         """Resource name the node occupies, or ``None`` if free."""
-        node = self.graph.nodes[nid]
-        kind = node.kind
-        if kind in FREE_KINDS:
-            return None
-        if kind in (OpKind.LOAD, OpKind.STORE):
-            return memory_resource_name(node.array or "")
-        if kind in (OpKind.SHL, OpKind.SHR) and self._const_shift(nid):
-            return None
-        fu = self.library.fu_for(kind)
-        return fu.name if fu is not None else None
+        return self._lookup(nid)[0]
+
+    def delay_of(self, nid: int) -> float:
+        """Propagation delay of the node in ns (0 for free nodes)."""
+        return self._lookup(nid)[1]
 
     def capacity_of(self, resource: str) -> int:
         """Number of instances of ``resource`` available per cycle."""
@@ -125,18 +148,27 @@ class ResourceModel:
             return self.array_ports.get(resource[4:], 1)
         return self.allocation.count(resource)
 
-    def delay_of(self, nid: int) -> float:
-        """Propagation delay of the node in ns (0 for free nodes)."""
+    def _lookup(self, nid: int) -> Tuple[Optional[str], float]:
+        if self.graph.version != self._version:
+            self._version = self.graph.version
+            self._memo.clear()
+        found = self._memo.get(nid)
+        if found is None:
+            found = self._memo[nid] = self._resolve(nid)
+        return found
+
+    def _resolve(self, nid: int) -> Tuple[Optional[str], float]:
         node = self.graph.nodes[nid]
         kind = node.kind
         if kind in FREE_KINDS:
-            return 0.0
+            return None, 0.0
         if kind in (OpKind.LOAD, OpKind.STORE):
-            return self.library.memory.delay
+            return (memory_resource_name(node.array or ""),
+                    self.library.memory.delay)
         if kind in (OpKind.SHL, OpKind.SHR) and self._const_shift(nid):
-            return 0.0
+            return None, 0.0
         fu = self.library.fu_for(kind)
-        return fu.delay if fu is not None else 0.0
+        return (fu.name, fu.delay) if fu is not None else (None, 0.0)
 
     def cycles_of(self, nid: int, clock: float) -> int:
         """Cycles the node occupies when started at offset 0."""

@@ -48,7 +48,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Tuple, Union)
 
 from ..core.objectives import POWER, THROUGHPUT
-from ..errors import ServiceError
+from ..errors import ConfigError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.evalcache import CacheStats
@@ -208,6 +208,11 @@ class JobSpec:
                     f"integer, got {value!r}")
         if self.num_seeds < 1:
             raise ServiceError("num_seeds must be >= 1")
+        from ..sched.types import SchedConfig
+        try:
+            SchedConfig(clock=self.clock)
+        except ConfigError as exc:
+            raise ServiceError(f"job spec field clock: {exc}") from None
         from ..search import STRATEGIES
         if self.strategy not in STRATEGIES:
             raise ServiceError(

@@ -8,6 +8,7 @@ run's, on any evaluation backend.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +91,7 @@ class TestSpanTree:
         write_trace(path, tracer.spans, format="chrome")
         # json.loads with no inf/nan allowance: unschedulable
         # candidates must not leak float("inf") scores
-        json.loads(open(path).read(), parse_constant=_reject_constant)
+        json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
 def _reject_constant(name):
@@ -188,7 +189,7 @@ class TestCliTrace:
         captured = capsys.readouterr()
         assert "trace written to" in captured.err
         assert "trace written to" not in captured.out
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"compile", "optimize", "schedule", "evaluate"} <= names
         assert doc["otherData"]["metrics"]["counters"][

@@ -1,8 +1,11 @@
-"""Scheduler subunit tests: reservation tables, fragments, pipelining."""
+"""Scheduler subunit tests: reservation tables, fragments, pipelining,
+the resource model's memo and config validation."""
 
 import pytest
 
 from repro.cdfg import BehaviorBuilder, OpKind
+from repro.cdfg.ir import Graph
+from repro.errors import ConfigError
 from repro.hw import Allocation, dac98_library
 from repro.sched import (Frag, LinearTable, ModuloTable, Position,
                          ResourceModel, SchedConfig, compose, connect,
@@ -220,3 +223,50 @@ class TestPosition:
         p = Position(3, 12.0)
         assert p.advanced_to_cycle(5) == Position(5, 0.0)
         assert p.advanced_to_cycle(2) == p
+
+
+class TestResourceModelMemo:
+    """The per-node memo follows ``graph.version``."""
+
+    def _graph(self, kind):
+        g = Graph()
+        a = g.add_node(OpKind.INPUT, var="a")
+        k = g.add_node(OpKind.CONST, value=2)
+        op = g.add_node(kind)
+        g.set_data_edge(a, op, 0)
+        g.set_data_edge(k, op, 1)
+        return g, a, op
+
+    def test_set_kind_changes_resource_and_delay(self):
+        g, _a, op = self._graph(OpKind.ADD)
+        rm = ResourceModel(g, LIB, Allocation({"a1": 1, "mt1": 1}))
+        assert (rm.resource_of(op), rm.delay_of(op)) == ("a1", 10.0)
+        g.set_kind(op, OpKind.MUL)
+        assert (rm.resource_of(op), rm.delay_of(op)) == ("mt1", 23.0)
+
+    def test_rewired_shift_amount_occupies_the_shifter(self):
+        g, a, op = self._graph(OpKind.SHL)
+        rm = ResourceModel(g, LIB, Allocation({"s1": 1}))
+        assert (rm.resource_of(op), rm.delay_of(op)) == (None, 0.0)
+        g.set_data_edge(a, op, 1)   # shift by a variable
+        assert (rm.resource_of(op), rm.delay_of(op)) == ("s1", 10.0)
+
+
+class TestSchedConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("clock", 0), ("clock", -5.0), ("clock", float("nan")),
+        ("clock", float("inf")), ("clock", "25"),
+        ("max_ii", 0), ("max_ii", 2.5),
+        ("max_states", 0),
+        ("default_branch_prob", -0.1), ("default_branch_prob", 1.5),
+        ("default_branch_prob", float("nan")),
+    ])
+    def test_bad_value_raises_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SchedConfig(**{field: value})
+
+    def test_defaults_and_edges_are_accepted(self):
+        SchedConfig()
+        SchedConfig(clock=0.5, max_ii=1, max_states=1,
+                    default_branch_prob=0.0)
+        SchedConfig(default_branch_prob=1)

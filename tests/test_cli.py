@@ -1,7 +1,12 @@
 """CLI tests (invoked in-process through cli.main)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 GCD = """
@@ -83,6 +88,43 @@ class TestSchedule:
     def test_bad_alloc_syntax(self, gcd_file):
         with pytest.raises(SystemExit):
             main(["schedule", gcd_file, "--alloc", "a1"])
+
+
+class TestBadClock:
+    """A bad clock fails at the boundary: one error line, exit 1."""
+
+    @pytest.mark.parametrize("command, clock", [
+        ("optimize", "0"), ("optimize", "nan"), ("schedule", "-5")])
+    def test_error_line(self, gcd_file, command, clock, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, gcd_file, "--alloc", "sb1=2,cp1=1,e1=1",
+                  "--clock", clock])
+        assert exc.value.code.startswith("error: clock period must be ")
+        assert "\n" not in exc.value.code
+        assert capsys.readouterr().out == ""
+
+    def test_process_prints_one_error_line(self, gcd_file):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "optimize", gcd_file,
+             "--clock", "0"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: clock period must be a finite number of ns > 0, "
+            "got 0.0"]
+
+    def test_submit_queues_nothing(self, gcd_file, tmp_path):
+        from repro.service.jobs import JobQueue
+        queue = str(tmp_path / "queue")
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", gcd_file, "--alloc", "sb1=2,cp1=1,e1=1",
+                  "--clock", "0", "--queue", queue,
+                  "--store", str(tmp_path / "store")])
+        assert exc.value.code.startswith("error: job spec field clock: ")
+        assert JobQueue(queue).jobs() == []
 
 
 class TestOptimize:
