@@ -2,19 +2,18 @@
 
 Measures how fast the fuzzing subsystem can mint and check circuits —
 the number that sizes the CI smoke campaign (200 circuits per PR) and
-the nightly budget (1000+).  Three phases are timed independently over
+the nightly budget (1000+).  Two phases are timed independently over
 the same seed range:
 
 * **generate** — circuits per second out of
   :func:`repro.gen.generate` alone (render + compile + validate);
-* **cheap oracles** — the enumeration-only ``enum-parity`` stack;
 * **full stack** — every serial oracle (``interp-stg``,
-  ``enum-parity``, ``rewrite-semantics``, ``sched-incremental``), the
-  per-circuit cost a campaign actually pays.
+  ``rewrite-semantics``, ``sched-incremental``), the per-circuit cost
+  a campaign actually pays.
 
 Requirements:
 
-* every campaign phase must finish with **zero findings** (a finding
+* the campaign phase must finish with **zero findings** (a finding
   in a throughput run means a live bug — hard failure, exit 1);
 * generation must be reproducible across the run: the first circuit is
   regenerated at the end and must be byte-identical.
@@ -78,9 +77,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "benchmark": "gen_throughput",
         "count": count,
         "generate": time_generation(count),
-        "enum_only": time_campaign(count, ("enum-parity",)),
         "full_stack": time_campaign(
-            count, ("interp-stg", "enum-parity", "rewrite-semantics",
+            count, ("interp-stg", "rewrite-semantics",
                     "sched-incremental")),
     }
     report["reproducible"] = (generate(0).source
@@ -92,13 +90,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"generate:   {report['generate']['circuits_per_s']:>8} "
           f"circuits/s")
-    print(f"enum-only:  {report['enum_only']['circuits_per_s']:>8} "
-          f"circuits/s")
     print(f"full stack: {report['full_stack']['circuits_per_s']:>8} "
           f"circuits/s")
 
-    failures = (report["enum_only"]["findings"]
-                + report["full_stack"]["findings"])
+    failures = report["full_stack"]["findings"]
     if failures:
         print(f"FAIL: {failures} findings during throughput run "
               f"(see {args.out})", file=sys.stderr)

@@ -17,7 +17,7 @@ from repro.cdfg import OpKind, execute
 from repro.core import Fact, FactConfig, SearchConfig, THROUGHPUT
 from repro.hw import Allocation, dac98_library
 from repro.lang import compile_source
-from repro.rewrite import LOCAL, Match
+from repro.rewrite import Match
 from repro.transforms import Transformation, default_library
 from repro.transforms.cleanup import fresh_const, place_like
 
@@ -25,14 +25,12 @@ from repro.transforms.cleanup import fresh_const, place_like
 class DoubleToShift(Transformation):
     """Rewrite ``x + x`` into ``x << 1`` (wiring, in hardware).
 
-    Written against the pattern API: a LOCAL scope plus ``match_at``
-    lets the rewrite driver re-scan only nodes a previous rewrite
-    touched, and the picklable :class:`Match` (footprint + params)
-    replaces the old closure-based candidate.
+    Written against the pattern API: ``match_at`` finds the sites one
+    node at a time, and each picklable :class:`Match` (footprint +
+    params) carries everything ``apply`` needs to replay the rewrite.
     """
 
     name = "double2shift"
-    scope = LOCAL
 
     def match_at(self, behavior, analyses, nid):
         g = behavior.graph
@@ -54,10 +52,6 @@ class DoubleToShift(Transformation):
             g.add_control_edge(cond, shl, pol)
         place_like(behavior, shl, nid)
         g.replace_uses(nid, shl)
-
-    def dependencies(self, behavior, match):
-        nid, src = match.params
-        return frozenset((nid, src))
 
 
 SOURCE = """

@@ -94,8 +94,7 @@ class Graph:
         # mutation journal: node ids touched by each mutating call, in
         # order.  copy() starts the copy with an empty journal, so the
         # journal of a freshly copied graph records exactly the nodes a
-        # rewrite touched (the "dirty set" the incremental enumeration
-        # driver keys invalidation on).
+        # rewrite touched (the "dirty set" the macro chains follow).
         self._journal: List[int] = []
 
     # ------------------------------------------------------------------
@@ -130,7 +129,7 @@ class Graph:
         Rewrites that change a node's meaning without going through a
         graph mutator — e.g. moving it to a different region, or fusing
         the loop that owns it — must call this so version-keyed caches
-        and incremental dirty sets see the change.
+        and rewrite dirty sets see the change.
         """
         self._touch(*nids)
 

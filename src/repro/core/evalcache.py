@@ -220,10 +220,6 @@ class EvalCache:
         self.stats.misses += 1
         return None
 
-    def peek(self, key: str) -> Optional[Any]:
-        """Look up ``key`` without touching the statistics or LRU order."""
-        return self._entries.get(key)
-
     def put(self, key: str, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU one if full."""
         if self.max_entries <= 0:

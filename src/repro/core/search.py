@@ -32,13 +32,15 @@ for byte (``tests/search/`` pins it against a frozen copy of that loop).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..cdfg.regions import Behavior
-from ..errors import ReproError, SearchError
+from ..errors import ConfigError, ReproError, SearchError
 from ..hw import Allocation, Library
 from ..obs.trace import NULL_TRACER, AnyTracer
 from ..rewrite.driver import RewriteDriver
@@ -71,10 +73,10 @@ def expand_candidates(driver: RewriteDriver,
     enumeration order, ready for batch evaluation.
 
     Enumeration goes through the memoizing
-    :class:`~repro.rewrite.driver.RewriteDriver` (incremental
-    re-enumeration for children it applied), which presents candidates
-    in the canonical (transform, footprint, fingerprint) order; children
-    carry rewrite provenance for the engine's pair memoization.
+    :class:`~repro.rewrite.driver.RewriteDriver`, which presents
+    candidates in the canonical (transform, footprint, fingerprint)
+    order; children carry rewrite provenance for the engine's pair
+    memoization.
 
     With a ``tracer``, every applied transformation instance is recorded
     as an ``apply`` span (the sampling and filtering decisions are pure
@@ -116,7 +118,9 @@ class SearchConfig:
     ``strategy`` selects the search strategy (``"greedy"``, ``"macro"``
     or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md);
     any other name raises :class:`~repro.errors.SearchError` here, at
-    construction, rather than once a run has started.
+    construction, rather than once a run has started.  A count below
+    its least meaningful value, or a negative or non-finite ``k0`` /
+    ``k_step``, raises :class:`~repro.errors.ConfigError` the same way.
     ``macro_depth`` / ``macro_limit`` bound macro-move chains (longest
     dependent chain, chains per seed per generation);
     ``portfolio_size`` is the number of racing portfolio members; and
@@ -147,6 +151,27 @@ class SearchConfig:
             raise SearchError(
                 f"unknown search strategy {self.strategy!r} "
                 f"(expected one of {', '.join(STRATEGIES)})")
+        require_counts(self, max_outer_iters=0, max_moves=0,
+                       in_set_size=1, max_candidates_per_seed=1,
+                       macro_depth=2, macro_limit=1, portfolio_size=1)
+        if self.max_evaluations is not None:
+            require_counts(self, max_evaluations=1)
+        for name in ("k0", "k_step"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value)
+                    and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, "
+                                  f"got {value!r}")
+
+
+def require_counts(config: object, **minimums: int) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless each named field
+    of ``config`` is an integer no smaller than its minimum."""
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if not isinstance(value, Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -219,8 +244,8 @@ class TransformSearch:
         self.tracer: AnyTracer = tracer if tracer is not None \
             else NULL_TRACER
         #: rewrite driver owning candidate enumeration: memoized per
-        #: behavior (raw fingerprint) and incremental for children it
-        #: applied.  Shared across runs of this search.
+        #: behavior (raw fingerprint).  Shared across runs of this
+        #: search.
         self.driver = RewriteDriver(transforms, tracer=self.tracer)
         self._shared_engine: Optional[EvaluationEngine] = None
         self._fresh_from: Optional[int] = None

@@ -251,10 +251,7 @@ class SearchTelemetry:
             f"{self.eval.markov_full} full)",
             f"  enumeration: {self.rewrite.requests} requests "
             f"({self.rewrite.memo_hits} memoized, "
-            f"{self.rewrite.incremental_scans} incremental / "
-            f"{self.rewrite.full_scans} full scans; "
-            f"{self.rewrite.carried_matches} matches carried, "
-            f"{self.rewrite.rescanned_matches} rescanned), "
+            f"{self.rewrite.full_scans} full scans), "
             f"{self.rewrite.enum_seconds * 1000:.1f} ms",
         ]
         if self.strategy != "greedy":
@@ -414,7 +411,6 @@ class ExploreTelemetry:
             f"solver {self.eval.solver_time * 1000:.1f} ms",
             f"  enumeration: {self.rewrite.requests} requests "
             f"({self.rewrite.memo_hits} memoized, "
-            f"{self.rewrite.incremental_scans} incremental / "
             f"{self.rewrite.full_scans} full scans), "
             f"{self.rewrite.enum_seconds * 1000:.1f} ms",
         ]

@@ -63,7 +63,7 @@ from ..core.engine import (Evaluated, EvaluationEngine,
 from ..core.evalcache import cached_fingerprint
 from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT, Objective
-from ..core.search import SearchConfig, expand_candidates
+from ..core.search import SearchConfig, expand_candidates, require_counts
 from ..core.telemetry import EvalStats, ExploreTelemetry
 from ..rewrite.driver import RewriteDriver
 from ..service.jobs import JobResult, JobState
@@ -85,7 +85,9 @@ class ExploreConfig:
     ``search`` is the budget handed to the warm-start single-objective
     searches (default: a :class:`SearchConfig` sharing ``seed`` and
     ``workers``); everything else shapes the multi-objective loop
-    itself.
+    itself.  A negative ``generations`` or ``transfer_seeds``, or a
+    population or candidate count below 1, raises
+    :class:`~repro.errors.ConfigError` at construction.
     """
 
     generations: int = 4
@@ -110,6 +112,10 @@ class ExploreConfig:
     warm_start_transfer: bool = False
     #: how many transferred designs may join the initial population
     transfer_seeds: int = 4
+
+    def __post_init__(self) -> None:
+        require_counts(self, generations=0, population_size=1,
+                       max_candidates_per_seed=1, transfer_seeds=0)
 
     def warm_start_search(self) -> SearchConfig:
         """The warm-start budget (explicit, or derived from the knobs)."""
@@ -171,8 +177,8 @@ class ExploreRunner:
             sched=cfg.sched, search=cfg.warm_start_search(),
             vdd=cfg.vdd, vt=cfg.vt), trace=self.tracer)
         #: rewrite driver owning candidate enumeration for the main
-        #: loop (memoized per behavior, incremental for its children);
-        #: shared across generations and across resume.
+        #: loop (memoized per behavior); shared across generations and
+        #: across resume.
         self.driver = RewriteDriver(self.transforms, tracer=self.tracer)
         self.run_fingerprint = _digest(
             (self._context_fp + "|"

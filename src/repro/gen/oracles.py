@@ -17,12 +17,8 @@ interp-stg         interpreter semantics vs. scheduled-STG statistics:
                    traces execute trap-free, the STG validates, and the
                    closed-form Markov average length agrees with a
                    seeded Monte-Carlo walk of the same chain
-enum-parity        plain ``TransformLibrary.candidates`` scan vs.
-                   ``RewriteDriver`` (incremental) enumeration — same
-                   canonically-ordered candidate set, also after an
-                   apply step re-enumerates incrementally (against a
-                   ``cache_size=0`` driver, which always scans in full)
-rewrite-semantics  every applied candidate preserves interpreter
+rewrite-semantics  applied candidates — up to ``APPLIES_PER_TRANSFORM``
+                   of each transformation — preserve interpreter
                    semantics (outputs + final memory) on shared traces
 sched-incremental  a fresh scheduler and a shared region cache, cold
                    and then warm, schedule bit-identically — same
@@ -55,7 +51,7 @@ from ..sched.driver import ScheduleResult, Scheduler
 from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import SchedConfig
 from ..stg.simulate import simulate
-from ..transforms import default_library
+from ..transforms import Candidate, default_library
 from .generator import GEN_SCHEMA_VERSION, GenConfig, GeneratedCircuit
 
 #: Traces shared by every oracle on one circuit (seeded per circuit).
@@ -69,8 +65,9 @@ SIM_RUNS = 256
 SIM_REL_TOL = 0.35
 SIM_ABS_TOL = 2.5
 
-#: Candidates applied (per circuit) by the rewrite-semantics oracle.
-MAX_APPLIES = 4
+#: Candidates of each transformation the rewrite-semantics oracle
+#: applies per circuit (the first ones in canonical order).
+APPLIES_PER_TRANSFORM = 3
 
 
 @dataclass
@@ -218,44 +215,19 @@ def oracle_interp_stg(ctx: OracleContext) -> Optional[str]:
     return None
 
 
-def _candidate_signature(cands) -> List[Tuple]:
-    return [(c.sort_key, c.description) for c in cands]
-
-
-def oracle_enum_parity(ctx: OracleContext) -> Optional[str]:
-    """Plain scan == incremental driver, before and after an apply."""
-    library = default_library()
-    legacy = sorted(library.candidates(ctx.behavior),
-                    key=lambda c: c.sort_key)
-    driver = RewriteDriver(library)
-    driven = driver.candidates(ctx.behavior)
-    if _candidate_signature(legacy) != _candidate_signature(driven):
-        return (f"candidate sets differ: legacy {len(legacy)} vs. "
-                f"driver {len(driven)}: "
-                f"{_first_diff(legacy, driven)}")
-    for cand in driven:
-        try:
-            child = driver.apply(ctx.behavior, cand)
-        except ReproError:
-            continue
-        incremental = driver.candidates(child)
-        fresh = RewriteDriver(library, cache_size=0).candidates(child)
-        if _candidate_signature(incremental) != \
-                _candidate_signature(fresh):
-            return (f"after applying {cand.description!r}: incremental "
-                    f"re-enumeration {len(incremental)} vs. full scan "
-                    f"{len(fresh)}: {_first_diff(fresh, incremental)}")
-        return None
-    return None
-
-
-def _first_diff(expect, got) -> str:
-    ek = _candidate_signature(expect)
-    gk = _candidate_signature(got)
-    for i, (a, b) in enumerate(zip(ek, gk)):
-        if a != b:
-            return f"first diff at {i}: {a!r} != {b!r}"
-    return f"length mismatch {len(ek)} != {len(gk)}"
+def _round_robin(cands: List[Candidate]) -> List[Candidate]:
+    """The first ``APPLIES_PER_TRANSFORM`` candidates of each
+    transformation: every transformation's first candidate in
+    canonical order, then every second one, and so on."""
+    rank: Dict[str, int] = {}
+    picked = []
+    for cand in cands:
+        r = rank.get(cand.transform, 0)
+        rank[cand.transform] = r + 1
+        if r < APPLIES_PER_TRANSFORM:
+            picked.append((r, cand))
+    # A stable sort by round keeps canonical order within each round.
+    return [cand for _r, cand in sorted(picked, key=lambda p: p[0])]
 
 
 def oracle_rewrite_semantics(ctx: OracleContext) -> Optional[str]:
@@ -265,15 +237,11 @@ def oracle_rewrite_semantics(ctx: OracleContext) -> Optional[str]:
     reference = [execute(ctx.behavior, case.inputs,
                          {k: list(v) for k, v in case.arrays.items()})
                  for case in traces]
-    applied = 0
-    for cand in driver.candidates(ctx.behavior):
-        if applied >= MAX_APPLIES:
-            break
+    for cand in _round_robin(driver.candidates(ctx.behavior)):
         try:
             child = driver.apply(ctx.behavior, cand)
         except ReproError:
             continue
-        applied += 1
         validate_behavior(child)
         for i, case in enumerate(traces):
             got = execute(child, case.inputs,
@@ -392,7 +360,6 @@ def oracle_search_parity(ctx: OracleContext) -> Optional[str]:
 #: every circuit (see ``FuzzOptions.pool_every``).
 ORACLES: Dict[str, Callable[[OracleContext], Optional[str]]] = {
     "interp-stg": oracle_interp_stg,
-    "enum-parity": oracle_enum_parity,
     "rewrite-semantics": oracle_rewrite_semantics,
     "sched-incremental": oracle_sched_incremental,
     "engine-backend": oracle_engine_backend,
@@ -406,7 +373,7 @@ def run_oracle(name: str, ctx: OracleContext) -> Optional[str]:
 
 
 __all__ = [
-    "FuzzFinding", "MAX_APPLIES", "ORACLES", "OracleContext",
+    "APPLIES_PER_TRANSFORM", "FuzzFinding", "ORACLES", "OracleContext",
     "SIM_ABS_TOL", "SIM_REL_TOL", "SIM_RUNS", "TRACE_RUNS",
     "context_for", "run_oracle",
 ]

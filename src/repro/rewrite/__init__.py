@@ -7,20 +7,18 @@ This package splits every behavioral transformation into
   a declared node footprint and a stable fingerprint),
 * shared, cached **analyses**
   (:class:`~repro.rewrite.analyses.AnalysisManager`), and
-* an incremental enumeration **driver**
-  (:class:`~repro.rewrite.driver.RewriteDriver`) that re-runs only the
-  patterns whose matches could intersect the nodes a rewrite touched.
+* a memoizing enumeration **driver**
+  (:class:`~repro.rewrite.driver.RewriteDriver`) that serves each
+  behavior's candidates in one canonical order.
 
 See ``docs/transformations.md`` for the authoring guide.
 """
 
-from .pattern import GLOBAL, LOCAL, Match, RewritePattern
+from .pattern import Match, RewritePattern
 from .analyses import AnalysisManager
 from .driver import RewriteDriver, RewriteStats
 
 __all__ = [
-    "GLOBAL",
-    "LOCAL",
     "Match",
     "RewritePattern",
     "AnalysisManager",

@@ -6,13 +6,13 @@ independence, `cse` walked the whole region tree once *per node* to
 partition by owner region, `code_motion`/`distributivity` each built
 their own :class:`~repro.cdfg.analysis.GuardAnalysis`, and so on — per
 transform, per seed, per generation.  An :class:`AnalysisManager` is
-created once per behavior (the driver owns it) and hands all patterns
-the same cached results.
+created once per library scan of a behavior
+(:meth:`~repro.transforms.base.TransformLibrary.candidates`) and hands
+all patterns the same cached results.
 
 Everything is computed lazily on first use and memoized.  The manager
-is tied to one immutable behavior snapshot; pipelines that mutate a
-behavior in place between queries must call :meth:`AnalysisManager
-.invalidate` with the rewrite's footprint.
+is tied to one immutable behavior snapshot: a behavior mutated in place
+needs a new manager.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..cdfg.analysis import Guard, GuardAnalysis
 from ..cdfg.ops import OpKind
-from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
-                            SeqRegion)
-from ..errors import CdfgError
+from ..cdfg.regions import Behavior, BlockRegion, LoopRegion, Region
 
 
 class AnalysisManager:
@@ -39,23 +37,19 @@ class AnalysisManager:
     * :meth:`const_value` / :meth:`direct_const` — the constant lattice
       used by folding and branch elimination;
     * :meth:`loops_independent` — memoized loop-fusion legality;
-    * :meth:`dominators` / :meth:`dominates` — data-flow dominance;
-    * :meth:`structure_key` — a hash of the region *shape*, used by the
-      driver to gate incremental carry-forward.
+    * :meth:`dominators` / :meth:`dominates` — data-flow dominance.
     """
 
     def __init__(self, behavior: Behavior) -> None:
         self.behavior = behavior
         self._guards: Optional[GuardAnalysis] = None
         self._loops: Optional[List[LoopRegion]] = None
-        self._loop_nodes: Optional[FrozenSet[int]] = None
         self._loop_conds: Optional[FrozenSet[int]] = None
         self._header_joins: Optional[FrozenSet[int]] = None
         self._region_map: Optional[Dict[int, Region]] = None
         self._const: Dict[int, Optional[int]] = {}
         self._independent: Dict[Tuple[str, str], bool] = {}
         self._dominators: Optional[Dict[int, Set[int]]] = None
-        self._structure_key: Optional[Tuple] = None
 
     # -- guard / mutual-exclusion --------------------------------------
     @property
@@ -76,34 +70,6 @@ class AnalysisManager:
         if self._loops is None:
             self._loops = self.behavior.loops()
         return self._loops
-
-    @property
-    def loop_nodes(self) -> FrozenSet[int]:
-        """Every node owned by any loop (bodies, cond sections, header
-        joins) — the mutation domain of the loop-restructuring patterns:
-        under an unchanged structure key, their match sets are pure
-        functions of this node set."""
-        if self._loop_nodes is None:
-            self._loop_nodes = frozenset(
-                nid for lp in self.loops for nid in lp.node_ids())
-        return self._loop_nodes
-
-    def loops_touching(self, dirty: Set[int]) -> List[LoopRegion]:
-        """Loops whose match sets a rewrite touching ``dirty`` may have
-        changed — the loop-selection test for ``match_scoped``.
-
-        A dirty id still in the graph names its owning loops directly.
-        A dirty id *absent* from the graph was removed by the rewrite
-        (or its hygiene passes), so some loop shrank — which can create
-        matches (a node whose last in-loop input died becomes
-        hoistable; a loop whose last ineligible member died becomes
-        unrollable) — but the child alone cannot say *which* loop the
-        dead id belonged to, so every loop is suspect.
-        """
-        nodes = self.behavior.graph.nodes
-        if any(nid not in nodes for nid in dirty):
-            return list(self.loops)
-        return [lp for lp in self.loops if lp.node_ids() & dirty]
 
     @property
     def loop_conds(self) -> FrozenSet[int]:
@@ -219,58 +185,3 @@ class AnalysisManager:
     def dominates(self, a: int, b: int) -> bool:
         """True when every data-flow path to ``b`` passes through ``a``."""
         return a in self.dominators().get(b, set())
-
-    # -- structure key -------------------------------------------------
-    def structure_key(self) -> Tuple:
-        """A recursive tuple describing the region *shape* (loop nesting,
-        conditions, trip counts, header joins) without block contents.
-
-        The driver only carries matches forward from a parent behavior
-        whose structure key equals the child's: any loop restructuring
-        (unroll, fusion, speculative unroll) changes it and forces a
-        full re-enumeration.
-        """
-        if self._structure_key is None:
-            self._structure_key = _structure_key(self.behavior.region)
-        return self._structure_key
-
-    # -- invalidation --------------------------------------------------
-    def invalidate(self, footprint: Set[int]) -> None:
-        """Drop results a rewrite touching ``footprint`` may have stale.
-
-        Node-local memos (the constant lattice) are dropped only for the
-        footprint and its data users; transitive analyses (guards,
-        dominators, regions, loop structure) are dropped wholesale —
-        recomputing them lazily is cheaper than tracking their exact
-        scope.
-        """
-        if not footprint:
-            return
-        g = self.behavior.graph
-        stale = set(footprint)
-        for nid in footprint:
-            if nid in g.nodes:
-                stale.update(dst for dst, _ in g.data_users(nid))
-        for nid in stale:
-            self._const.pop(nid, None)
-        self._guards = None
-        self._loops = None
-        self._loop_nodes = None
-        self._loop_conds = None
-        self._header_joins = None
-        self._region_map = None
-        self._independent.clear()
-        self._dominators = None
-        self._structure_key = None
-
-
-def _structure_key(region: Region) -> Tuple:
-    if isinstance(region, BlockRegion):
-        return ("B",)
-    if isinstance(region, SeqRegion):
-        return ("S",) + tuple(_structure_key(c) for c in region.children)
-    if isinstance(region, LoopRegion):
-        return ("L", region.name, region.cond, region.trip_count,
-                tuple(sorted(lv.join for lv in region.loop_vars)),
-                _structure_key(region.body))
-    raise CdfgError(f"unknown region type {type(region).__name__}")

@@ -45,8 +45,7 @@ def make_strategy(cfg, expander_factory: Callable[[int], Expander]):
     if cfg.strategy == "greedy":
         return GreedyStrategy(cfg, expander_factory(1))
     if cfg.strategy == "macro":
-        return GreedyStrategy(cfg,
-                              expander_factory(max(2, cfg.macro_depth)),
+        return GreedyStrategy(cfg, expander_factory(cfg.macro_depth),
                               name="macro")
     if cfg.strategy == "portfolio":
         return PortfolioStrategy(default_members(cfg, expander_factory))

@@ -63,13 +63,12 @@ def default_members(cfg, expander_factory: Callable[[int], Expander]
     transform library / driver / hot-node focus; depth 1 is the plain
     one-step expander, depth >= 2 appends macro chains.
     """
-    size = max(1, cfg.portfolio_size)
     members: List[GreedyStrategy] = []
-    for idx in range(min(size, len(_ROSTER))):
+    for idx in range(min(cfg.portfolio_size, len(_ROSTER))):
         label, overrides, depth = _ROSTER[idx]
         member_cfg = replace(cfg, **overrides) if overrides else cfg
         if depth is None:
-            depth = max(2, cfg.macro_depth)
+            depth = cfg.macro_depth
         rng = random.Random(cfg.seed) if idx == 0 \
             else member_rng(cfg.seed, label)
         members.append(GreedyStrategy(

@@ -48,7 +48,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Tuple, Union)
 
 from ..core.objectives import POWER, THROUGHPUT
-from ..errors import ConfigError, ServiceError
+from ..errors import ReproError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.evalcache import CacheStats
@@ -198,26 +198,34 @@ class JobSpec:
             raise ServiceError(
                 f"unknown objective {self.objective!r}; expected one "
                 f"of {JOB_OBJECTIVES}")
-        for name in ("num_seeds", "generations", "population",
-                     "candidates_per_seed", "iterations",
-                     "profile_traces"):
+        for name, least in (("num_seeds", 1), ("profile_traces", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or value < least:
                 raise ServiceError(
-                    f"job spec field {name} must be a non-negative "
-                    f"integer, got {value!r}")
-        if self.num_seeds < 1:
-            raise ServiceError("num_seeds must be >= 1")
+                    f"job spec field {name}: must be an integer >= "
+                    f"{least}, got {value!r}")
+        # Fields that become a config field are checked by that config.
+        from ..core.search import SearchConfig
+        from ..explore.runner import ExploreConfig
         from ..sched.types import SchedConfig
-        try:
-            SchedConfig(clock=self.clock)
-        except ConfigError as exc:
-            raise ServiceError(f"job spec field clock: {exc}") from None
-        from ..search import STRATEGIES
-        if self.strategy not in STRATEGIES:
-            raise ServiceError(
-                f"unknown strategy {self.strategy!r}; expected one "
-                f"of {STRATEGIES}")
+        checks = (
+            ("clock", lambda: SchedConfig(clock=self.clock)),
+            ("iterations",
+             lambda: SearchConfig(max_outer_iters=self.iterations)),
+            ("strategy", lambda: SearchConfig(strategy=self.strategy)),
+            ("generations",
+             lambda: ExploreConfig(generations=self.generations)),
+            ("population",
+             lambda: ExploreConfig(population_size=self.population)),
+            ("candidates_per_seed", lambda: ExploreConfig(
+                max_candidates_per_seed=self.candidates_per_seed)),
+        )
+        for name, build in checks:
+            try:
+                build()
+            except ReproError as exc:
+                raise ServiceError(
+                    f"job spec field {name}: {exc}") from None
         return self
 
     # -- canonical serialization ----------------------------------------

@@ -18,14 +18,14 @@ same site can yield several candidates.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Tuple
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import OpKind, is_associative
 from ..cdfg.regions import Behavior
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import fresh_const, place_like
 
@@ -37,21 +37,6 @@ _Guards = FrozenSet[Tuple[int, bool]]
 
 def _guards_of(g: Graph, nid: int) -> _Guards:
     return frozenset(g.control_inputs(nid))
-
-
-_ASSOC_KINDS = frozenset(k for k in OpKind if is_associative(k))
-
-
-def _cluster_nodes(g: Graph, nid: int, kinds, guards: _Guards,
-                   depth: int = 0) -> Set[int]:
-    """Every node the leaf-collection walk visits (internals + leaves)."""
-    out = {nid}
-    node = g.nodes.get(nid)
-    if (node is not None and depth < MAX_LEAVES and node.kind in kinds
-            and _guards_of(g, nid) == guards):
-        for src in g.data_inputs(nid):
-            out |= _cluster_nodes(g, src, kinds, guards, depth + 1)
-    return out
 
 
 def collect_signed_leaves(g: Graph, nid: int, guards: _Guards,
@@ -86,7 +71,6 @@ class Associativity(Transformation):
     """Rebalance and re-associate add/sub and associative-op trees."""
 
     name = "associativity"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -138,47 +122,6 @@ class Associativity(Transformation):
             leaves = collect_assoc_leaves(g, root, kind, guards)
             new_root = _reduce_balanced(behavior, root, leaves, kind, guards)
             g.replace_uses(root, new_root)
-
-    # The predicate walks the whole cluster (internal ops + leaves) and
-    # inspects the root's users for the is-root test.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        root = match.params[1]
-        g = behavior.graph
-        deps = set(match.footprint)
-        if root not in g.nodes:
-            return frozenset(deps)
-        deps.update(dst for dst, _ in g.data_users(root))
-        guards = _guards_of(g, root)
-        if match.params[0] == "signed":
-            kinds: Tuple[OpKind, ...] = (OpKind.ADD, OpKind.SUB)
-        else:
-            kinds = (g.nodes[root].kind,)
-        deps.update(_cluster_nodes(g, root, kinds, guards))
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        """Dirty nodes, their cluster-kind producers, and the upward
-        closure through cluster-kind users (a touched leaf can create a
-        match at an arbitrarily distant tree root)."""
-        g = behavior.graph
-        roots = {n for n in dirty if n in g.nodes}
-        climb = {OpKind.ADD, OpKind.SUB} | _ASSOC_KINDS
-        for n in list(roots):
-            roots.update(src for src in g.input_ports(n).values()
-                         if g.nodes[src].kind in climb)
-        frontier = list(roots)
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            for dst, _ in g.data_users(cur):
-                if dst in visited:
-                    continue
-                if g.nodes[dst].kind in climb:
-                    visited.add(dst)
-                    roots.add(dst)
-                    frontier.append(dst)
-        return roots
 
 
 def _new_op(b: Behavior, kind: OpKind, left: int, right: int,

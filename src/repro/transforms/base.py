@@ -18,7 +18,7 @@ the pattern API (``match`` or ``match_at``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from ..cdfg.regions import Behavior
 from ..cdfg.validate import validate_behavior
@@ -92,8 +92,8 @@ def apply_candidate(candidate: Candidate, behavior: Behavior
     Returns ``(child, dirty)`` where ``dirty`` is the exact set of node
     ids the rewrite *and* the hygiene passes touched, read off the
     graph's mutation journal (a copy starts with an empty journal).  The
-    incremental driver uses ``dirty`` to decide which cached matches
-    survive into the child.
+    driver's macro chains follow ``dirty`` to rewrites the previous step
+    enabled.
     """
     from .cse import merge_duplicates_inplace
     out = behavior.copy()
@@ -110,8 +110,8 @@ class Transformation(RewritePattern):
     """A family of behavior-preserving rewrites.
 
     Subclasses implement the :class:`RewritePattern` API
-    (``match``/``match_at`` + ``apply``); :meth:`find` wraps a full
-    ``match`` scan into :class:`Candidate` objects.
+    (``match``/``match_at`` + ``apply``); :meth:`find` is the library
+    scan restricted to this one transformation.
     """
 
     #: Short identifier used in reports and search logs.
@@ -119,9 +119,7 @@ class Transformation(RewritePattern):
 
     def find(self, behavior: Behavior) -> List[Candidate]:
         """Enumerate applicable candidates on ``behavior``."""
-        from ..rewrite.analyses import AnalysisManager
-        analyses = AnalysisManager(behavior)
-        return [Candidate(self, m) for m in self.match(behavior, analyses)]
+        return TransformLibrary([self]).candidates(behavior)
 
 
 def _check_pattern_api(transformations: Iterable[Transformation]) -> None:
@@ -163,9 +161,22 @@ class TransformLibrary:
         return [t.name for t in self.transformations]
 
     def candidates(self, behavior: Behavior) -> List[Candidate]:
-        """All candidates over the behavior (a full scan per
-        transformation)."""
+        """All candidates on ``behavior``, in library order.
+
+        The one enumeration scan: every transformation matches against
+        one shared :class:`~repro.rewrite.analyses.AnalysisManager`, and
+        a match repeated within one transformation is kept once.
+        :class:`~repro.rewrite.driver.RewriteDriver` sorts and memoizes
+        this list; the Flamel baseline and the fold-to-fixpoint loops
+        read it as is.
+        """
+        from ..rewrite.analyses import AnalysisManager
+        analyses = AnalysisManager(behavior)
         out: List[Candidate] = []
         for t in self.transformations:
-            out.extend(t.find(behavior))
+            seen: Set[str] = set()
+            for m in t.match(behavior, analyses):
+                if m.fingerprint not in seen:
+                    seen.add(m.fingerprint)
+                    out.append(Candidate(t, m))
         return out

@@ -17,7 +17,7 @@ from ..cdfg.ops import OP_INFO, OpKind, evaluate
 from ..cdfg.regions import Behavior
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import discard_from_regions
 
@@ -43,7 +43,6 @@ class BranchElimination(Transformation):
     """Resolve branches whose condition is a compile-time constant."""
 
     name = "branch_elim"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -59,25 +58,6 @@ class BranchElimination(Transformation):
     def apply(self, behavior: Behavior, match: Match) -> None:
         cond, value = match.params
         eliminate_branch(behavior, cond, value)
-
-    # The predicate reads the condition node, its control users (the
-    # node itself is touched when guard edges change) and its operands'
-    # kinds/values.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        cond = match.params[0]
-        g = behavior.graph
-        deps = set(match.footprint)
-        if cond in g.nodes:
-            deps.update(g.input_ports(cond).values())
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        g = behavior.graph
-        roots = {n for n in dirty if n in g.nodes}
-        for n in list(roots):
-            roots.update(dst for dst, _ in g.data_users(n))
-        return roots
 
 
 def eliminate_branch(behavior: Behavior, cond: int, value: bool) -> None:

@@ -17,7 +17,7 @@ moved; stores are side effects and never speculated.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import FREE_KINDS, OpKind
@@ -25,7 +25,7 @@ from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import GLOBAL, LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import discard_from_regions, owner_region
 
@@ -45,7 +45,6 @@ class Speculation(Transformation):
     """
 
     name = "speculation"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -64,36 +63,6 @@ class Speculation(Transformation):
 
     def apply(self, behavior: Behavior, match: Match) -> None:
         speculate(behavior, match.params[0])
-
-    # The cone walk reads each member's guards plus the guard status of
-    # every member's producers (to decide where the cone stops).
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        g = behavior.graph
-        deps = set(match.footprint)
-        for member in match.footprint:
-            if member in g.nodes:
-                deps.update(g.input_ports(member).values())
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        """Dirty nodes plus the upward closure through *guarded* data
-        users: a new/changed cone member surfaces as a match only at
-        guarded consumers reachable through guarded nodes."""
-        g = behavior.graph
-        roots = {n for n in dirty if n in g.nodes}
-        frontier = list(roots)
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            for dst, _ in g.data_users(cur):
-                if dst in visited:
-                    continue
-                if g.control_inputs(dst):
-                    visited.add(dst)
-                    roots.add(dst)
-                    frontier.append(dst)
-        return roots
 
 
 def _guarded_cone(g: Graph, nid: int) -> Optional[Set[int]]:
@@ -150,7 +119,6 @@ class LoopInvariantMotion(Transformation):
     """Hoist pure loop-invariant operations out of loop bodies."""
 
     name = "hoist"
-    scope = GLOBAL
 
     def match(self, behavior: Behavior,
               analyses: AnalysisManager) -> List[Match]:
@@ -185,30 +153,9 @@ class LoopInvariantMotion(Transformation):
                 (nid,), (nid, loop.name)))
         return out
 
-    def match_scoped(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty) -> List[Match]:
-        out: List[Match] = []
-        for loop in analyses.loops_touching(dirty):
-            out.extend(self._loop_matches(behavior, loop))
-        return out
-
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        # Invariance of the hoisted node depends on the whole loop's
-        # membership, not just the node: any mutation inside the loop
-        # can create or destroy the match.
-        _nid, loop_name = match.params
-        return frozenset(behavior.loop(loop_name).node_ids())
-
     def apply(self, behavior: Behavior, match: Match) -> None:
         nid, loop_name = match.params
         hoist_out_of_loop(behavior, nid, loop_name)
-
-    def domain(self, behavior: Behavior,
-               analyses: AnalysisManager) -> Optional[FrozenSet[int]]:
-        # The matcher reads loop-member kinds and their edge endpoints
-        # (both dirtied by any mutation of them) plus region shape,
-        # which the structure-key gate already covers.
-        return analyses.loop_nodes
 
 
 def hoist_out_of_loop(behavior: Behavior, nid: int,
@@ -226,7 +173,7 @@ def hoist_out_of_loop(behavior: Behavior, nid: int,
         block = BlockRegion([nid])
         parent.children.insert(index, block)
     # A region move changes no graph tables; record it in the journal so
-    # version-keyed fingerprints and incremental dirty sets see it.
+    # version-keyed fingerprints and rewrite dirty sets see it.
     behavior.graph.touch(nid)
 
 

@@ -12,12 +12,12 @@ Two families:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
 from ..cdfg.ops import SWAPPED_COMPARISON, is_commutative
 from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 
 
@@ -25,7 +25,6 @@ class Commutativity(Transformation):
     """Swap the operands of binary operations."""
 
     name = "commutativity"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -50,14 +49,6 @@ class Commutativity(Transformation):
         if op == "flip":
             g = behavior.graph
             g.set_kind(nid, SWAPPED_COMPARISON[g.nodes[nid].kind])
-
-    # The predicate reads only the node's own kind and port count.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        return frozenset(match.footprint)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        return set(dirty)
 
 
 def _swap_operands(behavior: Behavior, nid: int) -> None:

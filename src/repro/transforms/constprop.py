@@ -10,17 +10,18 @@ Two candidate families:
 
 Sites whose result steers control flow (loop conditions, guard sources)
 are skipped: rewiring the controller is the scheduler's job, not a
-dataflow rewrite's.
+dataflow rewrite's.  So are guarded sites that feed a join: the
+replacement is unguarded, and a join reads whichever input executed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..cdfg.ops import OP_INFO, OpKind, evaluate
 from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import fresh_const
 
@@ -52,7 +53,6 @@ class ConstantPropagation(Transformation):
     """Fold constant subexpressions and algebraic identities."""
 
     name = "constprop"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -62,7 +62,14 @@ class ConstantPropagation(Transformation):
             return []
         if g.control_users(nid) or nid in analyses.loop_conds:
             return []
-        if not g.data_users(nid):
+        users = g.data_users(nid)
+        if not users:
+            return []
+        if g.control_inputs(nid) and any(
+                g.nodes[dst].kind is OpKind.JOIN for dst, _ in users):
+            # A join tells its inputs apart by which one executed; the
+            # unguarded constant or operand that would replace this
+            # guarded node fires on every path.
             return []
         inputs = g.data_inputs(nid)
         values = [analyses.direct_const(s) for s in inputs]
@@ -103,25 +110,6 @@ class ConstantPropagation(Transformation):
                 g.replace_uses(nid, other)
             else:
                 g.replace_uses(nid, fresh_const(behavior, 0))
-
-    # The predicate reads the node, its operands' kinds/values, its
-    # data users (non-empty check), and its control users / loop-cond
-    # status — the latter two are properties of the node itself.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        nid = match.params[1]
-        g = behavior.graph
-        deps = set(match.footprint)
-        if nid in g.nodes:
-            deps.update(g.input_ports(nid).values())
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        g = behavior.graph
-        roots = {n for n in dirty if n in g.nodes}
-        for n in list(roots):
-            roots.update(dst for dst, _ in g.data_users(n))
-        return roots
 
 
 def fold_all_constants(behavior: Behavior) -> Behavior:

@@ -19,7 +19,7 @@ from ..cdfg.ir import Graph
 from ..cdfg.ops import FREE_KINDS, OpKind, is_commutative
 from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import GLOBAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import owner_region
 
@@ -39,7 +39,6 @@ class CommonSubexpression(Transformation):
     """Merge duplicate pure operations."""
 
     name = "cse"
-    scope = GLOBAL
 
     def match(self, behavior: Behavior,
               analyses: AnalysisManager) -> List[Match]:

@@ -31,7 +31,7 @@ from ..cdfg.ir import Graph
 from ..cdfg.ops import DISTRIBUTIVE_PAIRS, OpKind
 from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import place_like
 
@@ -90,39 +90,6 @@ def resolve_threads(behavior: Behavior, src: int) -> List[Thread]:
     return [Thread(value=src, op=base, literals=lits)]
 
 
-def _peel_visited(g: Graph, nid: int, deps: Set[int]) -> int:
-    """Follow a COPY chain like :func:`_peel_copies`, recording every
-    visited node in ``deps``."""
-    seen = set()
-    while g.nodes[nid].kind is OpKind.COPY and nid not in seen:
-        seen.add(nid)
-        deps.add(nid)
-        nid = g.data_input(nid, 0)
-    deps.add(nid)
-    return nid
-
-
-def _thread_dep_nodes(behavior: Behavior, src: int) -> Set[int]:
-    """Every node :func:`resolve_threads` inspects for one operand, plus
-    the operand pairs of mul-kind thread ops (read by the shared-operand
-    test)."""
-    g = behavior.graph
-    deps: Set[int] = {src}
-    base = _peel_visited(g, src, deps)
-    ops: List[int] = []
-    if g.nodes[base].kind is OpKind.JOIN \
-            and base not in _header_joins(behavior):
-        for _port, inp in sorted(g.input_ports(base).items()):
-            deps.add(inp)
-            ops.append(_peel_visited(g, inp, deps))
-    else:
-        ops.append(base)
-    for op in ops:
-        if g.nodes[op].kind in _MUL_KINDS:
-            deps.update(g.input_ports(op).values())
-    return deps
-
-
 @dataclass(frozen=True)
 class _Match:
     """A factoring site: root ± with a shared-operand multiply thread."""
@@ -140,7 +107,6 @@ class Distributivity(Transformation):
     """Factor ``a·b ± a·c`` (across joins) and expand ``a·(b ± c)``."""
 
     name = "distributivity"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -255,44 +221,6 @@ class Distributivity(Transformation):
         left = new_op(mul_kind, a, x)
         right = new_op(mul_kind, a, y)
         g.replace_uses(mul, new_op(add_kind, left, right))
-
-    # Factoring reads the root plus every node the thread resolution
-    # visits (copies, joins, join inputs, peeled ops) and the operand
-    # pairs of mul-kind thread ops; expansion reads the mul and the
-    # inner add.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        g = behavior.graph
-        deps = set(match.footprint)
-        if match.params[0] == "expand":
-            _, mul, port = match.params
-            if mul in g.nodes:
-                deps.update(g.input_ports(mul).values())
-            return frozenset(deps)
-        root = match.params[1]
-        if root not in g.nodes:
-            return frozenset(deps)
-        for port in (0, 1):
-            deps |= _thread_dep_nodes(behavior, g.data_input(root, port))
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        """Dirty nodes plus every data user reachable by climbing
-        through COPY/JOIN/mul-kind nodes (the thread resolution can see
-        a touched node from that far up)."""
-        g = behavior.graph
-        climb = {OpKind.COPY, OpKind.JOIN} | _MUL_KINDS
-        roots = {n for n in dirty if n in g.nodes}
-        frontier = list(roots)
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            for dst, _ in g.data_users(cur):
-                roots.add(dst)
-                if dst not in visited and g.nodes[dst].kind in climb:
-                    visited.add(dst)
-                    frontier.append(dst)
-        return roots
 
 
 def _apply_factoring(behavior: Behavior, match: _Match) -> None:

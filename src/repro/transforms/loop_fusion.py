@@ -13,14 +13,14 @@ condition logic becomes dead and is cleaned up by DCE.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import GLOBAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 
 
@@ -63,35 +63,25 @@ def loops_independent(behavior: Behavior, a: LoopRegion,
     return not (writes_a & all_b) and not (writes_b & all_a)
 
 
-def _fusable_pairs(behavior: Behavior,
-                   analyses: Optional[AnalysisManager] = None,
-                   dirty: Optional[Set[int]] = None
-                   ) -> List[Tuple[SeqRegion, int, LoopRegion,
-                                   LoopRegion]]:
+def _fusable_pairs(behavior: Behavior, analyses: AnalysisManager
+                   ) -> List[Tuple[LoopRegion, LoopRegion]]:
     out = []
     for region in behavior.region.walk():
         if not isinstance(region, SeqRegion):
             continue
-        for i, (first, second) in enumerate(zip(region.children,
-                                                region.children[1:])):
+        for first, second in zip(region.children, region.children[1:]):
             if not (isinstance(first, LoopRegion)
                     and isinstance(second, LoopRegion)):
                 continue
-            if dirty is not None and not (
-                    (first.node_ids() | second.node_ids()) & dirty):
-                continue  # scoped re-scan: neither loop was touched
             if first.trip_count is None \
                     or first.trip_count != second.trip_count:
                 continue
             if _flat_blocks(first) is None \
                     or _flat_blocks(second) is None:
                 continue
-            independent = (analyses.loops_independent(first, second)
-                           if analyses is not None
-                           else loops_independent(behavior, first, second))
-            if not independent:
+            if not analyses.loops_independent(first, second):
                 continue
-            out.append((region, i, first, second))
+            out.append((first, second))
     return out
 
 
@@ -99,27 +89,11 @@ class LoopFusion(Transformation):
     """Fuse adjacent independent counted loops."""
 
     name = "fusion"
-    scope = GLOBAL
 
     def match(self, behavior: Behavior,
               analyses: AnalysisManager) -> List[Match]:
-        return self._matches(behavior, analyses, None)
-
-    def match_scoped(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty) -> List[Match]:
-        # A dirty id no longer in the graph was removed from *some*
-        # loop the child can't identify; fall back to scanning every
-        # pair (see AnalysisManager.loops_touching).
-        nodes = behavior.graph.nodes
-        if any(nid not in nodes for nid in dirty):
-            return self._matches(behavior, analyses, None)
-        return self._matches(behavior, analyses, set(dirty))
-
-    def _matches(self, behavior: Behavior, analyses: AnalysisManager,
-                 dirty: Optional[Set[int]]) -> List[Match]:
         out: List[Match] = []
-        for _seq, _index, first, second in _fusable_pairs(behavior,
-                                                          analyses, dirty):
+        for first, second in _fusable_pairs(behavior, analyses):
             sites = tuple(sorted(first.node_ids() | second.node_ids()))
             out.append(Match(self.name, f"fuse {first.name} + {second.name}",
                              sites, (first.name, second.name)))
@@ -128,13 +102,6 @@ class LoopFusion(Transformation):
     def apply(self, behavior: Behavior, match: Match) -> None:
         first_name, second_name = match.params
         fuse_loops(behavior, first_name, second_name)
-
-    def domain(self, behavior: Behavior,
-               analyses: AnalysisManager) -> Optional[FrozenSet[int]]:
-        # Adjacency and trip counts live in the structure key;
-        # independence reads only loop-member edges and kinds, and every
-        # edge mutation dirties both endpoints.
-        return analyses.loop_nodes
 
 
 def fuse_loops(behavior: Behavior, first_name: str,
@@ -168,7 +135,7 @@ def fuse_loops(behavior: Behavior, first_name: str,
     first.body.children.append(second.body)
     parent.children.remove(second)
     # Pure region restructuring: journal the absorbed loop's nodes so
-    # version-keyed fingerprints and incremental dirty sets see it.
+    # version-keyed fingerprints and rewrite dirty sets see it.
     behavior.graph.touch(*sorted(second.node_ids()))
 
 

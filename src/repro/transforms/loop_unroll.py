@@ -15,14 +15,13 @@ header joins (which now advance ``factor`` steps per pass).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List
 
-from ..cdfg.ir import Graph
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import Behavior, BlockRegion, LoopRegion, SeqRegion
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import GLOBAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 
 #: Unroll factors offered per eligible loop.
@@ -37,7 +36,6 @@ class LoopUnrolling(Transformation):
     """Unroll counted loops by small factors."""
 
     name = "unroll"
-    scope = GLOBAL
 
     def __init__(self, factors=DEFAULT_FACTORS) -> None:
         self.factors = tuple(factors)
@@ -67,23 +65,9 @@ class LoopUnrolling(Transformation):
                              sites, (loop.name, factor)))
         return out
 
-    def match_scoped(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty) -> List[Match]:
-        out: List[Match] = []
-        for loop in analyses.loops_touching(dirty):
-            out.extend(self._loop_matches(loop))
-        return out
-
     def apply(self, behavior: Behavior, match: Match) -> None:
         loop_name, factor = match.params
         unroll_loop(behavior, loop_name, factor)
-
-    def domain(self, behavior: Behavior,
-               analyses: AnalysisManager) -> Optional[FrozenSet[int]]:
-        # Eligibility depends only on loop membership, trip counts and
-        # body nesting — all covered by the structure key plus the loop
-        # node set.
-        return analyses.loop_nodes
 
 
 def _body_is_flat(loop: LoopRegion) -> bool:

@@ -31,14 +31,13 @@ condition's profile (the iteration process is memoryless).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from ..cdfg.ir import Graph
-from ..cdfg.ops import FREE_KINDS, OpKind
+from ..cdfg.ops import OpKind
 from ..cdfg.regions import Behavior, BlockRegion, LoopRegion, SeqRegion
 from ..errors import TransformError
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import GLOBAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 
 #: Kinds that may not be executed speculatively in the cloned copy.
@@ -88,7 +87,6 @@ class SpeculativeUnrolling(Transformation):
     """Unroll data-dependent loops by 2, speculating the second copy."""
 
     name = "spec_unroll"
-    scope = GLOBAL
 
     def match(self, behavior: Behavior,
               analyses: AnalysisManager) -> List[Match]:
@@ -105,22 +103,8 @@ class SpeculativeUnrolling(Transformation):
         return [Match(self.name, f"speculatively unroll {loop.name}",
                       sites, (loop.name,))]
 
-    def match_scoped(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty) -> List[Match]:
-        out: List[Match] = []
-        for loop in analyses.loops_touching(dirty):
-            out.extend(self._loop_matches(behavior, loop))
-        return out
-
     def apply(self, behavior: Behavior, match: Match) -> None:
         speculative_unroll(behavior, match.params[0])
-
-    def domain(self, behavior: Behavior,
-               analyses: AnalysisManager) -> Optional[FrozenSet[int]]:
-        # Eligibility reads only loop-member kinds, cond sections and
-        # header-join wiring; rewrites outside the loops cannot change
-        # the match set while the structure key holds.
-        return analyses.loop_nodes
 
 
 def speculative_unroll(behavior: Behavior, loop_name: str) -> None:

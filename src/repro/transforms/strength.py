@@ -15,13 +15,13 @@ bloat the search.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
-from ..rewrite.pattern import LOCAL, Match
+from ..rewrite.pattern import Match
 from .base import Transformation
 from .cleanup import fresh_const, place_like
 
@@ -56,7 +56,6 @@ class StrengthReduction(Transformation):
     """Replace multiplications by constants with shift/add networks."""
 
     name = "strength"
-    scope = LOCAL
 
     def match_at(self, behavior: Behavior, analyses: AnalysisManager,
                  nid: int) -> List[Match]:
@@ -89,23 +88,6 @@ class StrengthReduction(Transformation):
         guards = list(g.control_inputs(nid))
         result = _shift_add_network(behavior, nid, var_src, value, guards)
         g.replace_uses(nid, result)
-
-    # The predicate reads the node plus its two operand kinds/values.
-    def dependencies(self, behavior: Behavior, match: Match) -> frozenset:
-        nid = match.params[0]
-        g = behavior.graph
-        deps = set(match.footprint)
-        if nid in g.nodes:
-            deps.update(g.input_ports(nid).values())
-        return frozenset(deps)
-
-    def rescan_roots(self, behavior: Behavior, analyses: AnalysisManager,
-                     dirty: Set[int]) -> Set[int]:
-        g = behavior.graph
-        roots = {n for n in dirty if n in g.nodes}
-        for n in list(roots):
-            roots.update(dst for dst, _ in g.data_users(n))
-        return roots
 
 
 def _shift_add_network(b: Behavior, site: int, x: int, value: int,

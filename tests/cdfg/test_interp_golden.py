@@ -265,10 +265,10 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         "wide commutativity#0": "d8375af6c5acccde",
         "narrow commutativity#1": "2778617579e6459a",
         "wide commutativity#1": "d8375af6c5acccde",
-        "narrow constprop#0": "450fd630c0025d96",
-        "wide constprop#0": "269fdbe0f6a40ffe",
+        "narrow constprop#0": "2778617579e6459a",
+        "wide constprop#0": "679d87e48c34b2d4",
         "narrow constprop#1": "2778617579e6459a",
-        "wide constprop#1": "679d87e48c34b2d4",
+        "wide constprop#1": "bca6c590daaa01db",
         "narrow distributivity#0": "4f6300ee75ad4e50",
         "wide distributivity#0": "bb9515b453c52ccb",
         "narrow distributivity#1": "8cf6261a49db29bd",

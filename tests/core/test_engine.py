@@ -134,9 +134,8 @@ class TestEvalCache:
         assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
         cache.put("c", 3)
         assert cache.stats.evictions == 1
-        assert cache.peek("b") is None
-        assert cache.peek("a") == 1
-        assert cache.peek("c") == 3
+        assert "b" not in cache
+        assert "a" in cache and "c" in cache
 
     def test_disabled_cache_stores_nothing(self):
         cache = EvalCache(max_entries=0)

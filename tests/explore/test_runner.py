@@ -6,7 +6,7 @@ import repro
 from repro import JobState
 from repro.cdfg.ir import Graph
 from repro.core.search import SearchConfig
-from repro.errors import ExploreError
+from repro.errors import ConfigError, ExploreError
 from repro.explore import (ExploreConfig, ExploreRunner, ParetoFront,
                            RunStore, dominates)
 from repro.profiling import profile, uniform_traces
@@ -47,6 +47,16 @@ def make_runner(gcd_setup, tmp_path, **kw):
     kw.setdefault("config", small_config())
     kw.setdefault("store", tmp_path / "store")
     return ExploreRunner(beh, alloc, branch_probs=probs, **kw)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(population_size=-2), dict(population_size=0),
+        dict(max_candidates_per_seed=-1), dict(generations=-1),
+        dict(transfer_seeds=-1)])
+    def test_rejects_bad_settings(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            ExploreConfig(**kw)
 
 
 class TestRun:

@@ -12,11 +12,11 @@ import pytest
 
 from repro.cdfg.interp import execute
 from repro.errors import ReproError, ScheduleError
+from repro.gen.generator import generate, grid_config
 from repro.hw import Allocation, dac98_library
 from repro.lang.lower import compile_source
 from repro.profiling import uniform_traces
 from repro.profiling.profiler import profile
-from repro.rewrite import RewriteDriver
 from repro.sched.driver import Scheduler
 from repro.sched.types import SchedConfig
 from repro.transforms import default_library
@@ -64,39 +64,42 @@ def test_path_explosion_trips_the_max_states_guard():
                   probs).schedule()
 
 
-# -- incremental enumeration after a loop shrinks --------------------------
+# -- constprop at a guarded node that feeds a join ------------------------
 
-def _first_apply_parity(behavior):
-    """Apply the first applicable candidate, then compare incremental
-    re-enumeration against a from-scratch full scan."""
-    library = default_library()
-    driver = RewriteDriver(library)
-    for cand in driver.candidates(behavior):
+def _assert_constprop_preserves_semantics(behavior, seed):
+    """Apply every constprop candidate; each child must produce the
+    behavior's outputs and final arrays on the oracle's traces."""
+    traces = uniform_traces(behavior, 6, lo=0, hi=255, seed=seed,
+                            array_lo=0, array_hi=255)
+    want = [execute(behavior, case.inputs,
+                    {k: list(v) for k, v in case.arrays.items()})
+            for case in traces]
+    for cand in default_library().candidates(behavior):
+        if cand.transform != "constprop":
+            continue
         try:
-            child = driver.apply(behavior, cand)
+            child = cand.apply(behavior)
         except ReproError:
             continue
-        incremental = sorted((c.sort_key, c.description)
-                             for c in driver.candidates(child))
-        full_driver = RewriteDriver(library, cache_size=0)
-        full = sorted((c.sort_key, c.description)
-                      for c in full_driver.candidates(child))
-        return cand.description, incremental, full
-    pytest.skip("no applicable candidate")
+        for case, ref in zip(traces, want):
+            got = execute(child, case.inputs,
+                          {k: list(v) for k, v in case.arrays.items()})
+            assert (got.outputs, got.arrays) \
+                == (ref.outputs, ref.arrays), cand.description
 
 
-@pytest.mark.parametrize("name", [
-    "enum_carry_shrunken_loop.bdl",
-    "enum_carry_shrunken_nested_loop.bdl",
-])
-def test_incremental_enum_rescans_loops_that_lost_nodes(name):
-    """A rewrite whose hygiene passes delete a dead node *inside* a
-    loop dirties ids that no longer exist in the child graph; the
-    scoped re-scan must still revisit the shrunken loop (hoist and
-    spec_unroll matches there were invalidated and have to be
-    re-found).  Both circuits were shrunk from campaign findings where
-    the incremental driver lost a hoist / spec_unroll candidate."""
-    applied, incremental, full = _first_apply_parity(
-        corpus_behavior(name))
-    assert incremental == full, (
-        f"after {applied!r}: incremental enumeration diverged")
+def test_constprop_keeps_guarded_join_inputs():
+    """Folding the guarded copy ``t0 = 0`` into an unguarded constant
+    made the join after the branch receive a token on both inputs.
+    Shrunk from generated seed 38; seed 50 shrinks to the same
+    pattern."""
+    _assert_constprop_preserves_semantics(
+        corpus_behavior("constprop_guarded_join.bdl"), seed=38)
+
+
+@pytest.mark.parametrize("seed", [38, 50])
+def test_constprop_on_generated_findings(seed):
+    """The unshrunk circuits: ``fold copy#21 -> 7`` (seed 38) and
+    ``fold copy#15 -> 13`` (seed 50) broke the join they fed."""
+    circuit = generate(seed, grid_config(seed))
+    _assert_constprop_preserves_semantics(circuit.behavior(), seed)

@@ -101,3 +101,16 @@ def test_small_real_campaign_is_clean():
     report = run_campaign(options)
     assert report.ok, [f.detail for f in report.findings]
     assert report.oracle_pass == {"interp-stg": 2}
+
+
+def test_rewrite_semantics_samples_every_transformation():
+    """Up to ``APPLIES_PER_TRANSFORM`` candidates of each
+    transformation, round-robin in canonical order — not the first few
+    of the list, which sorts by transformation name."""
+    from types import SimpleNamespace
+    names = ["associativity"] * 5 + ["commutativity"] * 2 + ["unroll"]
+    cands = [SimpleNamespace(transform=n, i=i)
+             for i, n in enumerate(names)]
+    picked = oracles_mod._round_robin(cands)
+    assert oracles_mod.APPLIES_PER_TRANSFORM == 3
+    assert [c.i for c in picked] == [0, 5, 7, 1, 6, 2]

@@ -5,10 +5,9 @@ Two contracts guard the pattern/driver refactor:
 * **semantic equivalence** — for every candidate the driver enumerates
   on a benchmark circuit, interpreting the rewritten behavior on random
   stimuli produces the seed's outputs and final memory;
-* **enumeration equivalence** — the legacy ``find()``/
-  ``TransformLibrary.candidates`` scan and the
-  :class:`~repro.rewrite.driver.RewriteDriver` enumerate the identical
-  canonically-ordered candidate set.
+* **enumeration equivalence** — the ``TransformLibrary.candidates``
+  scan, sorted, and the :class:`~repro.rewrite.driver.RewriteDriver`
+  enumerate the identical canonically-ordered candidate set.
 """
 
 import random

@@ -5,19 +5,6 @@ from repro.lang import compile_source
 from repro.rewrite import AnalysisManager
 from repro.transforms.cleanup import owner_region
 
-LOOP_SRC = """
-proc p(in a, in b, in n, out s, out r) {
-    r = (a + b) * (b + 17);
-    var acc = 0;
-    var i = 0;
-    while (i < n) {
-        acc = acc + a;
-        i = i + 1;
-    }
-    s = acc;
-}
-"""
-
 
 class TestStructuralQueries:
     def test_region_map_matches_owner_region(self):
@@ -25,35 +12,6 @@ class TestStructuralQueries:
         am = AnalysisManager(beh)
         for nid in beh.graph.nodes:
             assert am.owner(nid) is owner_region(beh, nid)
-
-    def test_loop_nodes_is_union_of_loop_ids(self):
-        beh = compile_source(LOOP_SRC)
-        am = AnalysisManager(beh)
-        expected = set()
-        for lp in beh.loops():
-            expected |= lp.node_ids()
-        assert am.loop_nodes == expected
-        assert am.loop_nodes  # the source has a loop
-
-    def test_structure_key_ignores_block_contents(self):
-        beh = compile_source(LOOP_SRC)
-        twin = compile_source(LOOP_SRC.replace("b + 17", "b + 99"))
-        assert AnalysisManager(beh).structure_key() \
-            == AnalysisManager(twin).structure_key()
-
-    def test_structure_key_changes_when_loops_do(self):
-        from repro.transforms.loop_unroll import unroll_loop
-        beh = compile_source("""
-            proc q(in a, out r) {
-                var acc = 0;
-                for (i = 0; i < 4; i = i + 1) { acc = acc + a; }
-                r = acc;
-            }
-        """)
-        before = AnalysisManager(beh).structure_key()
-        unrolled = beh.copy()
-        unroll_loop(unrolled, unrolled.loops()[0].name, 2)
-        assert AnalysisManager(unrolled).structure_key() != before
 
 
 class TestConstLattice:
@@ -68,16 +26,6 @@ class TestConstLattice:
         adds = [n for n, node in g.nodes.items()
                 if node.kind is OpKind.ADD]
         assert [am.const_value(n) for n in adds] == [5]
-
-    def test_invalidate_drops_and_recomputes(self):
-        beh = compile_source(LOOP_SRC)
-        am = AnalysisManager(beh)
-        key = am.structure_key()
-        loop_nodes = am.loop_nodes
-        am.invalidate(set(list(beh.graph.nodes)[:2]))
-        # Nothing actually changed, so lazily recomputed results agree.
-        assert am.structure_key() == key
-        assert am.loop_nodes == loop_nodes
 
 
 class TestDominance:

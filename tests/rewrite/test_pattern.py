@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.errors import TransformError
-from repro.rewrite import GLOBAL, LOCAL, Match, RewritePattern
+from repro.lang import compile_source
+from repro.rewrite import AnalysisManager, Match, RewritePattern
 from repro.transforms import default_library
 from repro.transforms.base import TransformLibrary, Transformation
 
@@ -52,7 +53,6 @@ class _LegacyOnly(Transformation):
 
 class _LocalToy(Transformation):
     name = "toy"
-    scope = LOCAL
 
     def match_at(self, behavior, analyses, nid):
         return [Match(self.name, f"site {nid}", (nid,))]
@@ -75,28 +75,19 @@ class TestRewritePatternDefaults:
         assert library.names() == ["toy"]
 
     def test_local_default_match_aggregates_match_at(self):
-        from repro.lang import compile_source
-        from repro.rewrite import AnalysisManager
         beh = compile_source("proc p(in a, out r) { r = a + 1; }")
         toy = _LocalToy()
         matches = toy.match(beh, AnalysisManager(beh))
         assert [m.footprint for m in matches] \
             == [(n,) for n in sorted(beh.graph.nodes)]
 
-    def test_default_incremental_hooks(self):
-        toy = _LocalToy()
-        m = Match("toy", "d", (2, 5))
-        assert toy.dependencies(None, m) == frozenset((2, 5))
-        assert toy.rescan_roots(None, None, {3}) == {3}
-        assert toy.domain(None, None) is None
-        assert toy.match_scoped(None, None, {3}) is None
-
     def test_global_without_match_raises(self):
         class Bare(RewritePattern):
-            scope = GLOBAL
+            pass
+        beh = compile_source("proc p(in a, out r) { r = a + 1; }")
         with pytest.raises(NotImplementedError):
-            Bare().match(None, None)
+            Bare().match(beh, AnalysisManager(beh))
         with pytest.raises(NotImplementedError):
-            Bare().match_at(None, None, 0)
+            Bare().match_at(beh, AnalysisManager(beh), 0)
         with pytest.raises(NotImplementedError):
-            Bare().apply(None, Match("x", "d", (1,)))
+            Bare().apply(beh, Match("x", "d", (1,)))

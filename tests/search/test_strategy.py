@@ -14,7 +14,7 @@ from repro.bench.circuits import circuit
 from repro.core.objectives import THROUGHPUT, Objective
 from repro.core.search import (SearchConfig, SearchResult,
                                TransformSearch)
-from repro.errors import SearchError
+from repro.errors import ConfigError, SearchError
 from repro.gen.generator import generate, grid_config
 from repro.gen.oracles import context_for
 from repro.hw import dac98_library
@@ -134,6 +134,23 @@ def test_unknown_strategy_raises():
     cfg.strategy = "anneal"  # bypasses the constructor's check
     with pytest.raises(SearchError, match="unknown search strategy"):
         make_strategy(cfg, lambda depth: None)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(k0=float("nan")), dict(k0=-0.1), dict(k_step=float("inf")),
+    dict(max_outer_iters=-1), dict(max_moves=-1), dict(in_set_size=0),
+    dict(max_candidates_per_seed=0), dict(macro_depth=1),
+    dict(macro_limit=0), dict(portfolio_size=0),
+    dict(max_evaluations=-3), dict(max_evaluations=0),
+    dict(max_outer_iters=2.5)])
+def test_config_rejects_bad_settings(kw):
+    """Out-of-range knobs fail when the config is built: a negative
+    count, a NaN selection pressure, or a setting the run would
+    silently have replaced."""
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        SearchConfig(**kw)
+    with pytest.raises(ConfigError):
+        replace(SearchConfig(), **kw)
 
 
 def test_config_rejects_unknown_strategy():

@@ -127,6 +127,64 @@ class TestBadClock:
         assert JobQueue(queue).jobs() == []
 
 
+class TestBadSearchSettings:
+    """Bad search and explore settings fail at the boundary: one error
+    line, exit 1, and nothing scheduled or queued."""
+
+    ALLOC = ["--alloc", "sb1=2,cp1=1,e1=1"]
+
+    @pytest.mark.parametrize("command, flags, field", [
+        ("explore", ["--no-warm-start", "--candidates-per-seed", "-1"],
+         "max_candidates_per_seed"),
+        ("explore", ["--no-warm-start", "--population", "0"],
+         "population_size"),
+        ("explore", ["--no-warm-start", "--population", "-2"],
+         "population_size"),
+        ("explore", ["--no-warm-start", "--generations", "-1"],
+         "generations"),
+        ("optimize", ["--iterations", "-1"], "max_outer_iters"),
+        ("optimize", ["--max-evaluations", "-3"], "max_evaluations"),
+        ("optimize", ["--portfolio", "0"], "portfolio_size"),
+    ])
+    def test_error_line(self, gcd_file, tmp_path, command, flags, field,
+                        capsys):
+        store = ["--store", str(tmp_path / "store")] \
+            if command == "explore" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, gcd_file, *self.ALLOC, *flags, *store])
+        assert exc.value.code.startswith(f"error: {field} must be ")
+        assert "\n" not in exc.value.code
+        assert capsys.readouterr().out == ""
+
+    def test_process_prints_one_error_line(self, gcd_file):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "explore", gcd_file,
+             *self.ALLOC, "--no-warm-start", "--population", "0"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: population_size must be an integer >= 1, got 0"]
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--population", "0"], "population"),
+        (["--candidates-per-seed", "-1"], "candidates_per_seed"),
+        (["--iterations", "-1"], "iterations"),
+        (["--generations", "-1"], "generations"),
+    ])
+    def test_submit_queues_nothing(self, gcd_file, tmp_path, flags,
+                                   field):
+        from repro.service.jobs import JobQueue
+        queue = str(tmp_path / "queue")
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", gcd_file, *self.ALLOC, *flags,
+                  "--queue", queue, "--store", str(tmp_path / "store")])
+        assert exc.value.code.startswith(f"error: job spec field {field}: ")
+        assert JobQueue(queue).jobs() == []
+
+
 class TestOptimize:
     def test_improves_gcd(self, gcd_file, capsys):
         assert main(["optimize", gcd_file, "--alloc",

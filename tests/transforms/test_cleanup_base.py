@@ -5,7 +5,7 @@ import pytest
 from repro.cdfg import BehaviorBuilder, OpKind, execute
 from repro.errors import TransformError
 from repro.lang import compile_source
-from repro.rewrite import LOCAL, Match
+from repro.rewrite import Match
 from repro.transforms import (Candidate, TransformLibrary,
                               Transformation, dead_code_elimination,
                               merge_duplicates_inplace)
@@ -105,7 +105,6 @@ class _Nop(Transformation):
     """A pattern-API transformation whose rewrite changes nothing."""
 
     name = "nop"
-    scope = LOCAL
 
     def match_at(self, behavior, analyses, nid):
         if behavior.graph.nodes[nid].kind is not OpKind.OUTPUT:

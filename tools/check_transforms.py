@@ -8,13 +8,10 @@ is enforced by :class:`~repro.transforms.TransformLibrary`, which
 rejects any other transformation when the library is built):
 
 1. **Footprints** — every enumerated match names at least one concrete
-   node, and every named node exists in the graph (a match whose
-   footprint has leaked out of the behavior can never be invalidated
-   correctly).
-2. **Dependencies** — LOCAL patterns must declare a non-empty
-   dependency set covering the footprint, the contract the driver's
-   carry-forward logic relies on.
-3. **Picklability** — matches must survive a pickle round trip (they
+   node, and every named node exists in the graph (hot-block focus and
+   the macro chains read the footprint, so one that has leaked out of
+   the behavior points them at nothing).
+2. **Picklability** — matches must survive a pickle round trip (they
    cross process boundaries with checkpointed populations).
 
 Run:  PYTHONPATH=src python tools/check_transforms.py
@@ -31,8 +28,7 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.bench.circuits import CIRCUITS, circuit            # noqa: E402
-from repro.rewrite import (LOCAL, AnalysisManager,            # noqa: E402
-                           RewriteDriver)
+from repro.rewrite import AnalysisManager                      # noqa: E402
 from repro.transforms import default_library                  # noqa: E402
 
 
@@ -57,29 +53,11 @@ def check_library() -> int:
                     print(f"FAIL: {where}: footprint names absent "
                           f"nodes {sorted(stray)}", file=sys.stderr)
                     errors += 1
-                if t.scope == LOCAL:
-                    deps = frozenset(t.dependencies(behavior, match))
-                    if not deps:
-                        print(f"FAIL: {where}: LOCAL pattern with "
-                              f"empty dependency set", file=sys.stderr)
-                        errors += 1
-                    elif not set(match.footprint) <= deps:
-                        print(f"FAIL: {where}: dependencies "
-                              f"{sorted(deps)} do not cover footprint "
-                              f"{list(match.footprint)}",
-                              file=sys.stderr)
-                        errors += 1
                 clone = pickle.loads(pickle.dumps(match))
                 if clone.fingerprint != match.fingerprint:
                     print(f"FAIL: {where}: fingerprint not stable "
                           f"across pickling", file=sys.stderr)
                     errors += 1
-        # The driver must agree with direct enumeration (same library).
-        driver = RewriteDriver(library)
-        if len(driver.candidates(behavior)) != count:
-            print(f"FAIL: {name}: driver enumerates a different "
-                  f"candidate count than the patterns", file=sys.stderr)
-            errors += 1
         print(f"  {name}: {count} matches OK")
     return errors
 
