@@ -119,8 +119,9 @@ class SearchConfig:
     or ``"portfolio"`` — ``--strategy`` on the CLI; docs/search.md);
     any other name raises :class:`~repro.errors.SearchError` here, at
     construction, rather than once a run has started.  A count below
-    its least meaningful value, or a negative or non-finite ``k0`` /
-    ``k_step``, raises :class:`~repro.errors.ConfigError` the same way.
+    its least meaningful value (``workers`` included, when given), or a
+    negative or non-finite ``k0`` / ``k_step``, raises
+    :class:`~repro.errors.ConfigError` the same way.
     ``macro_depth`` / ``macro_limit`` bound macro-move chains (longest
     dependent chain, chains per seed per generation);
     ``portfolio_size`` is the number of racing portfolio members; and
@@ -156,6 +157,8 @@ class SearchConfig:
                        macro_depth=2, macro_limit=1, portfolio_size=1)
         if self.max_evaluations is not None:
             require_counts(self, max_evaluations=1)
+        if self.workers is not None:
+            require_counts(self, workers=0)
         for name in ("k0", "k_step"):
             value = getattr(self, name)
             if not (isinstance(value, Real) and math.isfinite(value)

@@ -85,8 +85,8 @@ class ExploreConfig:
     ``search`` is the budget handed to the warm-start single-objective
     searches (default: a :class:`SearchConfig` sharing ``seed`` and
     ``workers``); everything else shapes the multi-objective loop
-    itself.  A negative ``generations`` or ``transfer_seeds``, or a
-    population or candidate count below 1, raises
+    itself.  A negative ``generations``, ``transfer_seeds`` or
+    ``workers``, or a population or candidate count below 1, raises
     :class:`~repro.errors.ConfigError` at construction.
     """
 
@@ -116,6 +116,8 @@ class ExploreConfig:
     def __post_init__(self) -> None:
         require_counts(self, generations=0, population_size=1,
                        max_candidates_per_seed=1, transfer_seeds=0)
+        if self.workers is not None:
+            require_counts(self, workers=0)
 
     def warm_start_search(self) -> SearchConfig:
         """The warm-start budget (explicit, or derived from the knobs)."""

@@ -18,11 +18,11 @@ Markov analysis sees the right expected pass count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..cdfg.ops import OpKind
-from ..cdfg.regions import Behavior, LoopRegion
-from ..stg.model import ScheduledOp, Stg
+from ..cdfg.regions import LoopRegion
+from ..stg.model import ScheduledOp
 from .branching import ScheduleContext
 from .fragments import Frag, Port
 from .pipeline import (_exec_probs, continue_probability, flat_body_nodes,
@@ -67,8 +67,7 @@ def expected_iterations(ctx: ScheduleContext, loop: LoopRegion) -> float:
 
 
 def concurrent_fragment(ctx: ScheduleContext,
-                        loops: List[LoopRegion], cache,
-                        behavior: Behavior) -> Optional[Frag]:
+                        loops: List[LoopRegion], cache) -> Optional[Frag]:
     """Co-schedule independent loops into phase kernels.
 
     Returns ``None`` when any loop is not pipelineable (nested loops in
@@ -76,7 +75,7 @@ def concurrent_fragment(ctx: ScheduleContext,
 
     Each phase kernel is memoized individually in ``cache`` (a
     :class:`~repro.sched.regioncache.RegionScheduleCache`, keyed over
-    the owning ``behavior``): phases are the reusable grain of a
+    ``ctx.behavior``): phases are the reusable grain of a
     concurrent run — a transformation touching one loop leaves every
     phase that does not contain it byte-identical, so those kernels are
     spliced from the cache instead of re-running the modulo scheduler.
@@ -105,7 +104,7 @@ def concurrent_fragment(ctx: ScheduleContext,
             union |= node_sets[i]
         phase_label = "+".join(loops[i].name for i in active)
         frag = _phase_fragment(ctx, loops, active, union, passes,
-                               phase_label, cache, behavior)
+                               phase_label, cache)
         if frag is None:
             return None
         if not entry_ports:
@@ -122,8 +121,7 @@ def concurrent_fragment(ctx: ScheduleContext,
 
 def _phase_fragment(ctx: ScheduleContext, loops: List[LoopRegion],
                     active: List[int], union: Set[int], passes: float,
-                    label: str, cache, behavior: Behavior
-                    ) -> Optional[Frag]:
+                    label: str, cache) -> Optional[Frag]:
     """``_phase_kernel`` through the region cache.
 
     The key covers the active loops' exact content (in phase order) plus
@@ -132,29 +130,17 @@ def _phase_fragment(ctx: ScheduleContext, loops: List[LoopRegion],
     the active suffix, so it must enter the key explicitly.  A phase
     that could not be scheduled is remembered as failed.
     """
-    # Runtime import: regioncache pulls in .fragments at module scope,
-    # keep this edge lazy for symmetry with the driver's wiring.
-    from .regioncache import CachedFragment, splice
-    key = cache.key_for(behavior, [loops[i] for i in active], ctx.guards,
-                        variant=f"phase:{passes!r}")
-    cached = cache.get(key)
+    # Imported at call time, so splice resolves through the regioncache
+    # module attribute (where perfbench's probe times phase splices).
+    from .regioncache import splice
+    cached = cache.fetch(
+        cache.key_for(ctx.behavior, [loops[i] for i in active],
+                      ctx.guards, suffix=f"phase:{passes!r}"),
+        lambda stg: _phase_kernel(ctx.with_stg(stg), loops, active, union,
+                                  passes, label))
     if cached is None:
-        scratch = Stg(f"{label}:phase")
-        frag = _phase_kernel(ctx.with_stg(scratch), loops, active, union,
-                             passes, label)
-        if frag is None:
-            cached = CachedFragment(Stg("failed"), build_failed=True)
-        else:
-            cached = CachedFragment(scratch, list(frag.entries),
-                                    list(frag.exits))
-            cache.states_built += len(scratch)
-        cache.put(key, cached)
-    elif not cached.build_failed:
-        cache.states_reused += len(cached.stg)
-    if cached.build_failed:
         return None
-    out, _ = splice(ctx.stg, cached)
-    return out
+    return splice(ctx.stg, cached)[0]
 
 
 def _phase_kernel(ctx: ScheduleContext, loops: List[LoopRegion],

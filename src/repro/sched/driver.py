@@ -212,65 +212,21 @@ class Scheduler:
     def _best_loop_composition(self, ctx: ScheduleContext,
                                run: List[LoopRegion]) -> Frag:
         """Concurrent phases vs back-to-back loops: keep the shorter."""
-        conc = self._variant(
-            ctx, list(run), "conc",
-            lambda c: concurrent_fragment(c, run, self.region_cache,
-                                          self.behavior))
-        conc_len = self._variant_len(conc)
-        seq_len = self._measure(
-            ctx, lambda c: compose(
+        conc = self._build_variant(
+            ctx, lambda c: concurrent_fragment(c, run, self.region_cache))
+        return self._sequential_unless_shorter(
+            ctx, conc, lambda c: compose(
                 c.stg, [self._memoized(c, [lp]) for lp in run]))
-        if conc_len is not None and (seq_len is None
-                                     or conc_len < seq_len):
-            frag, _ = splice(ctx.stg, conc)
-            return frag
-        return compose(ctx.stg, [self._memoized(ctx, [lp]) for lp in run])
-
-    def _measure(self, ctx: ScheduleContext,
-                 build: Callable[[ScheduleContext], Optional[Frag]]
-                 ) -> Optional[float]:
-        """Expected cycles of a fragment built into a scratch STG."""
-        scratch = Stg("scratch")
-        sub = ctx.with_stg(scratch)
-        try:
-            frag = build(sub)
-        except ScheduleError:
-            return None
-        if frag is None:
-            return None
-        entry = scratch.add_state(label="in")
-        exit_ = scratch.add_state(label="out")
-        if frag.is_empty:
-            scratch.add_transition(entry, exit_, 1.0)
-        else:
-            connect(scratch, [(entry, 1.0, "")], frag.entries)
-            connect(scratch, frag.exits, [(exit_, 1.0, "")])
-        scratch.entry, scratch.exit = entry, exit_
-        return average_schedule_length(scratch, self.tracer)
 
     # -- units and variants --------------------------------------------
     def _memoized(self, ctx: ScheduleContext,
                   regions: Sequence[Region]) -> Frag:
-        """Build-or-fetch one schedulable unit and splice it into
-        ``ctx.stg``."""
+        """Fetch one schedulable unit (built on a miss) and splice it
+        into ``ctx.stg``."""
         cache = self.region_cache
-        key = cache.key_for(self.behavior, regions, ctx.guards)
-        cached = cache.get(key)
-        if cached is None:
-            scratch = Stg(f"{self.behavior.name}:unit")
-            built0, reused0 = cache.states_built, cache.states_reused
-            frag = self._build_unit(ctx.with_stg(scratch), regions)
-            cached = CachedFragment(scratch, list(frag.entries),
-                                    list(frag.exits))
-            # Count each state once, at the level that scheduled it:
-            # states spliced from nested unit / variant entries were
-            # already booked built or reused down there.
-            nested = (cache.states_built - built0
-                      + cache.states_reused - reused0)
-            cache.states_built += max(0, len(scratch) - nested)
-            cache.put(key, cached)
-        else:
-            cache.states_reused += len(cached.stg)
+        cached = cache.fetch(
+            cache.key_for(self.behavior, regions, ctx.guards),
+            lambda stg: self._build_unit(ctx.with_stg(stg), regions))
         out_frag, idmap = splice(ctx.stg, cached)
         if ctx.stg is self._main_stg:
             self._pieces.append((cached, idmap))
@@ -292,89 +248,53 @@ class Scheduler:
     def _loop_unit(self, ctx: ScheduleContext, loop: LoopRegion) -> Frag:
         """One loop: the better of its sequential / pipelined schedules.
 
-        Each variant is built (at most) once through the cache, measured
-        and the winner spliced.  Bodies with many conditionals are
-        scheduled predicated-pipelined whenever possible: their
-        sequential (branching-state) schedule is exponential in the
-        number of conditions and only worth building for small bodies.
+        Bodies with many conditionals are scheduled predicated-pipelined
+        whenever possible: their sequential (branching-state) schedule
+        is exponential in the number of conditions and only worth
+        building for small bodies.
         """
-        if not ctx.config.allow_pipelining:
-            seq = self._variant(
-                ctx, [loop], "seq",
-                lambda c: sequential_loop(c, loop, self._region))
-            if seq.build_failed:
-                # Rebuild in place to raise the build's ScheduleError
-                # (a failed variant is cached without it).
-                return sequential_loop(ctx, loop, self._region)
-            frag, _ = splice(ctx.stg, seq)
-            return frag
-        pipe = self._variant(ctx, [loop], "pipe",
-                             lambda c: _pipelined_or_none(c, loop))
-        pipe_len = self._variant_len(pipe)
-        if pipe_len is not None and _cond_count(ctx, loop) > 8:
-            frag, _ = splice(ctx.stg, pipe)
-            return frag
-        seq = self._variant(
-            ctx, [loop], "seq",
-            lambda c: sequential_loop(c, loop, self._region))
-        seq_len = self._variant_len(seq)
-        if pipe_len is not None and (seq_len is None or pipe_len < seq_len):
-            frag, _ = splice(ctx.stg, pipe)
-            return frag
-        if seq.build_failed:
-            return sequential_loop(ctx, loop, self._region)
-        frag, _ = splice(ctx.stg, seq)
-        return frag
+        pipe = None
+        if ctx.config.allow_pipelining:
+            pipe = self._build_variant(
+                ctx, lambda c: _pipelined_or_none(c, loop))
+        if pipe is not None and _cond_count(ctx, loop) > 8:
+            return splice(ctx.stg, pipe)[0]
+        return self._sequential_unless_shorter(
+            ctx, pipe, lambda c: sequential_loop(c, loop, self._region))
 
-    def _variant(self, ctx: ScheduleContext, regions: List[Region],
-                 kind: str, build: Callable[[ScheduleContext],
-                                            Optional[Frag]]
-                 ) -> CachedFragment:
-        """Build-or-fetch one design variant of a unit.
+    def _sequential_unless_shorter(
+            self, ctx: ScheduleContext, alt: Optional[CachedFragment],
+            sequential: Callable[[ScheduleContext], Frag]) -> Frag:
+        """The sequential design, or ``alt`` if it exists and is strictly
+        shorter.
 
-        Variants (``"pipe"`` / ``"seq"`` / ``"conc"``) share the unit's
-        content key with a suffix, so measuring a variant and then
-        keeping it costs one build instead of two, and a failed build
-        (ScheduleError or not-applicable) is remembered rather than
-        retried.
+        Without an alternative the sequential design is built in place,
+        so a ScheduleError it raises reaches the caller; with one, a
+        sequential design that cannot be scheduled loses to it.
         """
-        cache = self.region_cache
-        key = cache.key_for(self.behavior, regions, ctx.guards,
-                            variant=kind)
-        cached = cache.get(key)
-        if cached is not None:
-            if not cached.build_failed:
-                cache.states_reused += len(cached.stg)
-            return cached
-        scratch = Stg(f"{self.behavior.name}:{kind}")
-        built0, reused0 = cache.states_built, cache.states_reused
+        if alt is None:
+            return sequential(ctx)
+        seq = self._build_variant(ctx, sequential)
+        if seq is None or self._measure(alt) < self._measure(seq):
+            return splice(ctx.stg, alt)[0]
+        return splice(ctx.stg, seq)[0]
+
+    def _build_variant(self, ctx: ScheduleContext,
+                       build: Callable[[ScheduleContext], Optional[Frag]]
+                       ) -> Optional[CachedFragment]:
+        """One design of a unit, built into its own STG and not cached
+        (it is built only when its unit missed); None when the design
+        does not exist or raises ScheduleError."""
         try:
-            frag = build(ctx.with_stg(scratch))
+            return self.region_cache.build(
+                lambda stg: build(ctx.with_stg(stg)))
         except ScheduleError:
-            frag = None
-        if frag is None:
-            cached = CachedFragment(Stg("failed"), build_failed=True)
-        else:
-            cached = CachedFragment(scratch, list(frag.entries),
-                                    list(frag.exits))
-            nested = (cache.states_built - built0
-                      + cache.states_reused - reused0)
-            cache.states_built += max(0, len(scratch) - nested)
-        cache.put(key, cached)
-        return cached
-
-    def _variant_len(self, cached: CachedFragment) -> Optional[float]:
-        """Expected cycles of a variant, measured at most once."""
-        if cached.build_failed:
             return None
-        if cached.measured_len is None:
-            cached.measured_len = self._measure_cached(cached)
-        return cached.measured_len
 
-    def _measure_cached(self, cached: CachedFragment) -> float:
-        """Measure a cached variant exactly as ``_measure`` would."""
+    def _measure(self, variant: CachedFragment) -> float:
+        """Expected cycles of a variant entered once and left once."""
         scratch = Stg("scratch")
-        frag, _ = splice(scratch, cached)
+        frag, _ = splice(scratch, variant)
         entry = scratch.add_state(label="in")
         exit_ = scratch.add_state(label="out")
         if frag.is_empty:

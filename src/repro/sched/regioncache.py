@@ -24,9 +24,19 @@ cost proportional to *what changed*:
   state-creation and transition order, so an STG assembled from reused
   fragments is *identical* (ids, labels, transition list) to one
   assembled from freshly built ones.
-* :class:`RegionScheduleCache` — a bounded LRU over all of the above
-  with ``CacheStats`` hit/miss/eviction counters plus Markov-solver
-  bookkeeping (local solves, reuses, full-solve fallbacks, time).
+* :class:`RegionScheduleCache` — a bounded LRU filled through one
+  fetch-or-build path (:meth:`~RegionScheduleCache.fetch`), with
+  ``CacheStats`` hit/miss/eviction counters plus state and
+  Markov-solver bookkeeping (local solves, reuses, full-solve
+  fallbacks, time).
+
+Two grains are cached: units, and the phase kernels of a concurrent
+loop run (keyed ``<unit key>:phase:<passes>``).  The alternative
+designs a unit chooses between — a loop's pipelined and sequential
+schedules, a run's concurrent phases and back-to-back loops — are built
+with :meth:`~RegionScheduleCache.build` and never stored: they are
+needed only when their unit missed, that is, when the content they
+would be keyed by has just changed.
 
 A cache is only valid for one evaluation context (library, allocation,
 scheduler config, branch probabilities): the creator stamps
@@ -46,7 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
@@ -155,12 +165,8 @@ class CachedFragment:
     exits: List[Port] = field(default_factory=list)
     visits: Optional[Dict[int, float]] = None
     solve_failed: bool = False
-    #: Expected cycles of the fragment under the standard entry/exit
-    #: wrapper (see ``Scheduler._measure``), memoized so a reused design
-    #: variant never re-solves its measuring chain; None = not measured.
-    measured_len: Optional[float] = None
-    #: The build raised ScheduleError / was not applicable; remembered
-    #: so every lookup reproduces the same decision without rebuilding.
+    #: The build found no fragment (it returned None); remembered so
+    #: every fetch reproduces the same decision without rebuilding.
     build_failed: bool = False
 
 
@@ -191,24 +197,24 @@ def splice(target: Stg, cached: CachedFragment
 class RegionScheduleCache:
     """Bounded LRU from unit keys to :class:`CachedFragment` entries.
 
-    Every :class:`~repro.sched.driver.Scheduler` schedules through one;
-    ``max_entries`` bounds how many entries it keeps.
+    Every :class:`~repro.sched.driver.Scheduler` schedules through one,
+    and :meth:`fetch` is the only path that reads or fills it.
 
     Counters: ``stats`` (a :class:`~repro.core.evalcache.CacheStats`)
-    tracks unit lookups; ``markov_local`` / ``markov_reused`` /
-    ``markov_full`` count fragment sub-chain solves, memoized reuses
-    and full-solve fallbacks; ``solver_time`` accumulates seconds spent
-    in Markov solves; ``states_built`` / ``states_reused`` count STG
-    states emitted by fresh scheduling vs. served from the cache (their
-    ratio is the *reschedule fraction* reported by the telemetry).
+    tracks unit and phase-kernel lookups; ``markov_local`` /
+    ``markov_reused`` / ``markov_full`` count fragment sub-chain solves,
+    memoized reuses and full-solve fallbacks; ``solver_time``
+    accumulates seconds spent in Markov solves; ``states_built`` /
+    ``states_reused`` count STG states emitted by fresh scheduling vs.
+    served from the cache (their ratio is the *reschedule fraction*
+    reported by the telemetry).
     """
 
-    def __init__(self, max_entries: int = 4096,
-                 context_fp: str = "") -> None:
+    def __init__(self, context_fp: str = "") -> None:
         # Runtime import: repro.core imports the scheduler package, so
         # a module-level import here would be circular.
         from ..core.evalcache import EvalCache
-        self._lru = EvalCache(max_entries=max_entries)
+        self._lru = EvalCache()
         self.context_fp = context_fp
         self.markov_local = 0
         self.markov_reused = 0
@@ -220,7 +226,7 @@ class RegionScheduleCache:
     # -- storage --------------------------------------------------------
     @property
     def stats(self):
-        """Unit lookup counters (``CacheStats``)."""
+        """Unit and phase-kernel lookup counters (``CacheStats``)."""
         return self._lru.stats
 
     def __len__(self) -> int:
@@ -233,17 +239,55 @@ class RegionScheduleCache:
         self._lru.put(key, value)
 
     def key_for(self, behavior: Behavior, regions: Sequence[Region],
-                guards, variant: str = "") -> str:
+                guards, suffix: str = "") -> str:
         """The unit key of ``regions``, namespaced by this cache's
         context fingerprint.
 
-        ``variant`` distinguishes alternative designs of the *same*
-        unit content (``"pipe"`` / ``"seq"`` loop schedules, ``"conc"``
-        run kernels) so the winner-selection step can fetch the variant
-        it measured instead of rebuilding it.
+        ``suffix`` distinguishes entries built from the *same* unit
+        content under different parameters: a phase kernel appends
+        ``"phase:<passes>"``, its pass count, which the loops alone do
+        not determine.
         """
         key = unit_key(behavior, regions, guards, self.context_fp)
-        return f"{key}:{variant}" if variant else key
+        return f"{key}:{suffix}" if suffix else key
+
+    # -- building -------------------------------------------------------
+    def build(self, schedule: Callable[[Stg], Optional[Frag]]
+              ) -> Optional[CachedFragment]:
+        """Schedule one fragment into a fresh STG, without storing it.
+
+        ``schedule`` writes into the STG it is given and returns the
+        fragment's ports, or None when no such fragment exists.  A
+        ScheduleError it raises propagates.  Each state is booked once,
+        at the level that scheduled it: states spliced from nested
+        entries were already booked built or reused down there.
+        """
+        stg = Stg("fragment")
+        booked = self.states_built + self.states_reused
+        frag = schedule(stg)
+        if frag is None:
+            return None
+        nested = self.states_built + self.states_reused - booked
+        self.states_built += max(0, len(stg) - nested)
+        return CachedFragment(stg, list(frag.entries), list(frag.exits))
+
+    def fetch(self, key: str, schedule: Callable[[Stg], Optional[Frag]]
+              ) -> Optional[CachedFragment]:
+        """The entry under ``key``, built with :meth:`build` on a miss.
+
+        Returns None when the build found no fragment; that outcome is
+        stored too, so later fetches return None without rebuilding.  A
+        build that raises stores nothing.
+        """
+        cached = self.get(key)
+        if cached is not None:
+            self.states_reused += len(cached.stg)
+        else:
+            cached = self.build(schedule)
+            if cached is None:
+                cached = CachedFragment(Stg("failed"), build_failed=True)
+            self.put(key, cached)
+        return None if cached.build_failed else cached
 
     # -- localized Markov analysis --------------------------------------
     def visits_of(self, cached: CachedFragment,

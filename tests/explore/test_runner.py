@@ -53,7 +53,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(population_size=-2), dict(population_size=0),
         dict(max_candidates_per_seed=-1), dict(generations=-1),
-        dict(transfer_seeds=-1)])
+        dict(transfer_seeds=-1), dict(workers=-1)])
     def test_rejects_bad_settings(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
             ExploreConfig(**kw)

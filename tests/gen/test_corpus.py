@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 from repro.cdfg.interp import execute
-from repro.errors import ReproError, ScheduleError
+from repro.errors import InterpError, ReproError, ScheduleError
 from repro.gen.generator import generate, grid_config
+from repro.gen.oracles import context_for
 from repro.hw import Allocation, dac98_library
 from repro.lang.lower import compile_source
 from repro.profiling import uniform_traces
 from repro.profiling.profiler import profile
+from repro.rewrite.driver import RewriteDriver
 from repro.sched.driver import Scheduler
 from repro.sched.types import SchedConfig
 from repro.transforms import default_library
@@ -103,3 +105,39 @@ def test_constprop_on_generated_findings(seed):
     ``fold copy#15 -> 13`` (seed 50) broke the join they fed."""
     circuit = generate(seed, grid_config(seed))
     _assert_constprop_preserves_semantics(circuit.behavior(), seed)
+
+
+# -- open speculation findings (ROADMAP item 1) ----------------------------
+
+PARTIAL_JOIN = (
+    "open: a node reads a partial join (an unguarded JOIN fed only by "
+    "guarded producers) that speculation treats as always available; "
+    "see ROADMAP item 1")
+
+
+@pytest.mark.xfail(raises=InterpError, strict=True, reason=PARTIAL_JOIN)
+@pytest.mark.parametrize("seed,description", [
+    # The 61st of 243 speculation candidates in canonical order:
+    # node 236 (band) reads unexecuted node 183 (join:t3).
+    (16, "speculate band#236"),
+    # Node 790 reads join:t3.
+    (82, "speculatively unroll L1"),
+    # Node 386 reads join:t2.
+    (135, "speculatively unroll L7"),
+])
+def test_open_speculation_findings(seed, description):
+    """The circuit ``fuzz run --seed 0`` generates for ``seed``, with
+    the named candidate applied, keeps outputs and final memory on the
+    rewrite-semantics oracle's traces.  Fixing the partial-join bug
+    turns these into plain tests."""
+    ctx = context_for(generate(seed, grid_config(seed)))
+    driver = RewriteDriver(default_library())
+    (cand,) = [c for c in driver.candidates(ctx.behavior)
+               if c.description == description]
+    child = driver.apply(ctx.behavior, cand)
+    for case in ctx.traces():
+        want = execute(ctx.behavior, case.inputs,
+                       {k: list(v) for k, v in case.arrays.items()})
+        got = execute(child, case.inputs,
+                      {k: list(v) for k, v in case.arrays.items()})
+        assert (got.outputs, got.arrays) == (want.outputs, want.arrays)

@@ -1,12 +1,16 @@
 """Region-level schedule memoization: reuse, splicing and unit keys."""
 
+import re
+
 import pytest
 
 from repro.bench.circuits import circuit
+from repro.errors import ScheduleError
 from repro.hw import dac98_library
 from repro.lang import compile_source
 from repro.profiling import profile
 from repro.sched.driver import Scheduler
+from repro.sched.fragments import Frag
 from repro.sched.regioncache import (CachedFragment, RegionScheduleCache,
                                      splice, unit_key)
 from repro.stg.model import ScheduledOp, Stg
@@ -136,26 +140,101 @@ class TestUnitKey:
         key = lambda b: unit_key(b, [b.loops()[0]], _NoGuards(), "fp")
         assert key(b1) != key(b2)
 
-    def test_context_namespacing_and_variants(self):
+    def test_context_namespacing_and_suffixes(self):
         b = compile_source(GCD_SRC)
         loop = [b.loops()[0]]
         c1 = RegionScheduleCache(context_fp="ctx1")
         c2 = RegionScheduleCache(context_fp="ctx2")
         assert (c1.key_for(b, loop, _NoGuards())
                 != c2.key_for(b, loop, _NoGuards()))
-        assert (c1.key_for(b, loop, _NoGuards(), variant="pipe")
+        assert (c1.key_for(b, loop, _NoGuards(), suffix="phase:3.0")
                 != c1.key_for(b, loop, _NoGuards()))
-        assert (c1.key_for(b, loop, _NoGuards(), variant="pipe")
-                != c1.key_for(b, loop, _NoGuards(), variant="seq"))
+        assert (c1.key_for(b, loop, _NoGuards(), suffix="phase:3.0")
+                != c1.key_for(b, loop, _NoGuards(), suffix="phase:4.0"))
+
+
+def _states(n, label):
+    """A build adding an ``n``-state chain to the STG it is given."""
+    def build(stg):
+        sids = [stg.add_state(label=f"{label}{i}") for i in range(n)]
+        for a, b in zip(sids, sids[1:]):
+            stg.add_transition(a, b, 1.0)
+        return Frag.linear(sids[0], sids[-1])
+    return build
+
+
+class TestFetch:
+    """``RegionScheduleCache.fetch``, the one path that fills the cache."""
+
+    def test_build_without_fragment_is_remembered(self):
+        cache = RegionScheduleCache(context_fp="t")
+        calls = []
+
+        def none(stg):
+            calls.append(stg)
+            return None
+
+        assert cache.fetch("k", none) is None
+        assert cache.fetch("k", none) is None
+        assert len(calls) == 1                # the second fetch hit
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert cache.states_built == cache.states_reused == 0
+
+    def test_raising_build_stores_nothing(self):
+        cache = RegionScheduleCache(context_fp="t")
+
+        def boom(stg):
+            stg.add_state()
+            raise ScheduleError("no unit")
+
+        with pytest.raises(ScheduleError, match="no unit"):
+            cache.fetch("k", boom)
+        assert len(cache) == 0
+        assert cache.states_built == 0
+        built = cache.fetch("k", _states(2, "s"))
+        assert built is not None and len(built.stg) == 2
+
+    def test_nested_units_are_booked_once(self):
+        """An outer unit splicing cached inner units books only the
+        states it scheduled itself; the inner ones were booked built
+        (first time) or reused (afterwards) at their own level."""
+        cache = RegionScheduleCache(context_fp="t")
+
+        def outer(stg):
+            inner, _ = splice(stg, cache.fetch("inner", _states(3, "i")))
+            own = _states(1, "o")(stg)
+            stg.add_transition(inner.exits[0][0], own.sole_entry, 1.0)
+            return Frag(inner.entries, own.exits)
+
+        first = cache.fetch("outer-1", outer)
+        assert len(first.stg) == 4
+        assert (cache.states_built, cache.states_reused) == (4, 0)
+        cache.fetch("outer-2", outer)          # inner unit now hits
+        assert (cache.states_built, cache.states_reused) == (5, 3)
+        cache.fetch("outer-1", outer)          # whole unit hits
+        assert (cache.states_built, cache.states_reused) == (5, 7)
+
+    def test_cold_schedule_looks_up_units_and_phase_kernels_only(self):
+        """test2 has a concurrent loop run and pipelineable loops, but
+        their alternative designs are built, never looked up."""
+        c, beh, probs = _setup("test2")
+        cache = RegionScheduleCache(context_fp="t")
+        keys = []
+        lookup = cache.get
+
+        def recording_get(key):
+            keys.append(key)
+            return lookup(key)
+
+        cache.get = recording_get
+        _schedule(c, beh, probs, cache)
+        units = [k for k in keys if re.fullmatch(r"[0-9a-f]+", k)]
+        phases = [k for k in keys if re.fullmatch(r"[0-9a-f]+:phase:.+", k)]
+        assert units and phases
+        assert len(units) + len(phases) == len(keys), keys
 
 
 class TestStorage:
-    def test_zero_entry_cache_stores_nothing(self):
-        cache = RegionScheduleCache(max_entries=0, context_fp="t")
-        cache.put("k", CachedFragment(Stg()))
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
     def test_snapshot_tracks_counters(self):
         cache = RegionScheduleCache(context_fp="t")
         before = cache.snapshot()

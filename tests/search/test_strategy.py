@@ -142,7 +142,7 @@ def test_unknown_strategy_raises():
     dict(max_candidates_per_seed=0), dict(macro_depth=1),
     dict(macro_limit=0), dict(portfolio_size=0),
     dict(max_evaluations=-3), dict(max_evaluations=0),
-    dict(max_outer_iters=2.5)])
+    dict(max_outer_iters=2.5), dict(workers=-1), dict(workers=1.5)])
 def test_config_rejects_bad_settings(kw):
     """Out-of-range knobs fail when the config is built: a negative
     count, a NaN selection pressure, or a setting the run would

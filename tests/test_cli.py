@@ -145,6 +145,8 @@ class TestBadSearchSettings:
         ("optimize", ["--iterations", "-1"], "max_outer_iters"),
         ("optimize", ["--max-evaluations", "-3"], "max_evaluations"),
         ("optimize", ["--portfolio", "0"], "portfolio_size"),
+        ("optimize", ["--workers", "-1"], "workers"),
+        ("explore", ["--workers", "-1"], "workers"),
     ])
     def test_error_line(self, gcd_file, tmp_path, command, flags, field,
                         capsys):
@@ -155,6 +157,7 @@ class TestBadSearchSettings:
         assert exc.value.code.startswith(f"error: {field} must be ")
         assert "\n" not in exc.value.code
         assert capsys.readouterr().out == ""
+        assert not (tmp_path / "store").exists()
 
     def test_process_prints_one_error_line(self, gcd_file):
         src = os.path.dirname(os.path.dirname(repro.__file__))
