@@ -15,7 +15,6 @@ from ..cdfg.ir import Graph
 from ..hw import Library
 from ..sched.driver import ScheduleResult
 from ..sched.types import ResourceModel
-from ..stg.markov import expected_visits
 
 
 def _phase_of(label: str) -> str:
@@ -36,7 +35,7 @@ def phase_diagram(result: ScheduleResult) -> str:
     loop kernels it runs.
     """
     stg = result.stg
-    visits = expected_visits(stg)
+    visits = result.expected_visits()
     # Walk states in a breadth-ish order from the entry, grouping by
     # phase label.
     order: List[int] = []

@@ -216,15 +216,13 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
         stats.numeric_seconds = _markov.solve_seconds() - solve_before
         after = region_cache.snapshot()
         (stats.region_hits, stats.region_requests, stats.markov_local,
-         stats.markov_reused, stats.markov_full, stats.solver_time,
-         stats.states_built, stats.states_reused,
-         stats.region_evictions) = (
+         stats.markov_reused, stats.solver_time, stats.states_built,
+         stats.states_reused, stats.region_evictions) = (
             after[0] - before[0],
             (after[0] - before[0]) + (after[1] - before[1]),
             after[2] - before[2], after[3] - before[3],
             after[4] - before[4], after[5] - before[5],
-            after[6] - before[6], after[7] - before[7],
-            after[8] - before[8])
+            after[6] - before[6], after[7] - before[7])
         # inf is not valid JSON; unschedulable candidates carry the
         # `unschedulable` attribute instead of a score.
         span.set(score=score if score != float("inf") else None,

@@ -195,9 +195,7 @@ class EvalCache:
     """A bounded LRU cache from content keys to evaluation outcomes.
 
     Keys are opaque strings (fingerprints); values are whatever the
-    evaluation engine stores — the cache never inspects them.  A
-    ``max_entries`` of 0 disables storage (every lookup misses), which
-    keeps the call sites branch-free.
+    evaluation engine stores — the cache never inspects them.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -222,8 +220,6 @@ class EvalCache:
 
     def put(self, key: str, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU one if full."""
-        if self.max_entries <= 0:
-            return
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = value

@@ -45,8 +45,6 @@ class FactConfig:
 
     sched: SchedConfig = field(default_factory=SchedConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
-    partition_threshold: float = 0.1
-    focus_on_hot_blocks: bool = True
     vdd: float = 5.0
     vt: float = 1.0
 
@@ -113,17 +111,16 @@ class FactResult:
         is scaled down to the initial schedule length when it is faster,
         and reported at its own length and nominal ``vdd`` otherwise.
         """
-        assert self.initial.result is not None
-        assert self.best.result is not None
+        initial, best = self.initial.result, self.best.result
+        assert initial is not None and best is not None
         base_len = self.initial_length
-        init_est = estimate_power(self.initial.result.stg,
-                                  self.initial.result.behavior.graph,
+        init_est = estimate_power(initial.stg, initial.behavior.graph,
                                   library, vdd=self.vdd,
-                                  cycle_time=cycle_time)
-        best_est = estimate_power(self.best.result.stg,
-                                  self.best.result.behavior.graph,
-                                  library, vdd=self.vdd,
-                                  cycle_time=cycle_time)
+                                  cycle_time=cycle_time,
+                                  visits=initial.expected_visits())
+        best_est = estimate_power(best.stg, best.behavior.graph, library,
+                                  vdd=self.vdd, cycle_time=cycle_time,
+                                  visits=best.expected_visits())
         vdd = scaled_vdd_for_schedule(min(self.best_length, base_len),
                                       base_len, vdd_initial=self.vdd,
                                       vt=self.vt)
@@ -222,17 +219,14 @@ class Fact:
                 raise SearchError(f"unknown objective {objective!r}")
 
             # Step 2/3: partition into hot blocks; focus the search
-            # there.
-            hot: Optional[Set[int]] = None
-            if self.config.focus_on_hot_blocks:
-                with tracer.span("partition") as part_span:
-                    hot = hot_cdfg_nodes(
-                        initial_result.stg,
-                        self.config.partition_threshold,
-                        visits=initial_result.expected_visits())
-                    part_span.set(hot_nodes=len(hot))
-                    if not hot:
-                        hot = None
+            # there (on the whole graph when no block is hot).
+            with tracer.span("partition") as part_span:
+                hot: Optional[Set[int]] = hot_cdfg_nodes(
+                    initial_result.stg,
+                    visits=initial_result.expected_visits())
+                part_span.set(hot_nodes=len(hot))
+                if not hot:
+                    hot = None
 
             with tracer.span("search") as search_span:
                 search = TransformSearch(

@@ -54,9 +54,9 @@ class EvalStats:
             candidates.
         states_built / states_reused: STG states emitted by fresh
             scheduling vs. spliced from cached fragments.
-        markov_local / markov_reused / markov_full: localized fragment
-            Markov solves, memoized reuses, and full-chain fallback
-            solves.
+        markov_local / markov_reused: fragment Markov solves and
+            memoized reuses; a schedule's expected visits are spliced
+            from these, never solved over the whole chain.
         sched_time / solver_time: seconds spent scheduling (total) and
             inside Markov solves (a subset, when solves happen during
             scheduling).
@@ -74,7 +74,6 @@ class EvalStats:
     states_reused: int = 0
     markov_local: int = 0
     markov_reused: int = 0
-    markov_full: int = 0
     sched_time: float = 0.0
     solver_time: float = 0.0
     numeric_seconds: float = 0.0
@@ -247,8 +246,7 @@ class SearchTelemetry:
             f"{100 * self.eval.reschedule_fraction:.1f}%, "
             f"solver {self.eval.solver_time * 1000:.1f} ms "
             f"({self.eval.markov_local} local / "
-            f"{self.eval.markov_reused} reused / "
-            f"{self.eval.markov_full} full)",
+            f"{self.eval.markov_reused} reused)",
             f"  enumeration: {self.rewrite.requests} requests "
             f"({self.rewrite.memo_hits} memoized, "
             f"{self.rewrite.full_scans} full scans), "

@@ -176,7 +176,6 @@ class MetricsRegistry:
         self.set("engine.reschedule_fraction", stats.reschedule_fraction)
         self.inc("markov.local", stats.markov_local)
         self.inc("markov.reused", stats.markov_reused)
-        self.inc("markov.full", stats.markov_full)
         self.inc("markov.solver_seconds", stats.solver_time)
         self.inc("numeric.solve_seconds", stats.numeric_seconds)
 

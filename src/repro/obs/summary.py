@@ -80,7 +80,7 @@ def _rate_lines(metrics: Mapping[str, Any]) -> List[str]:
                  "engine.cache.hits", "engine.cache.misses",
                  "region_cache.requests", "region_cache.hits",
                  "region_cache.evictions", "markov.local",
-                 "markov.reused", "markov.full"):
+                 "markov.reused"):
         if name in counters:
             value = counters[name]
             lines.append(f"  {name:<42s} {value:7g}")

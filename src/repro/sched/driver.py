@@ -18,8 +18,9 @@ adjacent loops) is built into a private scratch STG through a
 :class:`~repro.sched.regioncache.RegionScheduleCache` and spliced into
 the target, keyed by its exact content — so a candidate that differs
 from its parent in one block reuses every other unit's schedule
-verbatim, and the Markov analysis is assembled from memoized
-per-fragment solves (see ``docs/performance.md``).  Splicing preserves
+verbatim, and the result's expected visits are assembled from memoized
+per-fragment solves (see ``docs/performance.md``) — the only
+expected-visit analysis a scheduled design has.  Splicing preserves
 state-creation and transition order, so a warm cache and a cold one
 assemble identical STGs — state ids, labels, transition order.
 """
@@ -36,7 +37,7 @@ from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
 from ..errors import ScheduleError
 from ..hw import Allocation, Library
 from ..obs.trace import NULL_TRACER, AnyTracer
-from ..stg.markov import average_schedule_length, expected_visits
+from ..stg.markov import average_schedule_length
 from ..stg.model import Stg
 from .branching import ScheduleContext, block_fragment
 from .concurrent import concurrent_fragment, independent
@@ -55,17 +56,13 @@ class ScheduleResult:
     library: Library
     allocation: Allocation
     config: SchedConfig
+    #: Expected visits per state, assembled by the scheduler from its
+    #: per-fragment Markov solves.
+    visits: Dict[int, float] = field(repr=False, compare=False)
     branch_probs: Optional[BranchProbs] = None
-    #: Expected visits per state, memoized; pre-filled by the scheduler
-    #: from per-fragment solves (splicing), computed on demand from the
-    #: full chain for results built any other way.
-    visits: Optional[Dict[int, float]] = field(
-        default=None, repr=False, compare=False)
 
     def expected_visits(self) -> Dict[int, float]:
-        """Expected entries into each state per execution, memoized."""
-        if self.visits is None:
-            self.visits = expected_visits(self.stg)
+        """Expected entries into each state per execution."""
         return self.visits
 
     def average_length(self) -> float:
@@ -91,18 +88,16 @@ class Scheduler:
 
     Args:
         region_cache: the unit-schedule memo every schedulable unit is
-            built and spliced through; the result's visit totals come
-            from its per-fragment Markov solves.  Pass one to share
+            built and spliced through; the result's visit totals are
+            spliced from its per-fragment Markov solves.  Pass one to share
             units across schedulers of the same evaluation context (it
             must have been created for exactly that context, see
             ``RegionScheduleCache.context_fp``); when omitted the
             scheduler keeps a private one.
         tracer: optional :class:`~repro.obs.trace.Tracer`.  The run is
-            wrapped in a ``schedule`` span (with a ``markov_fallback``
-            attribute when the spliced-visit assembly falls back to a
-            full-chain solve).  Tracing reads clocks only — it never
-            changes scheduling decisions, so traced and untraced runs
-            produce identical STGs.
+            wrapped in a ``schedule`` span.  Tracing reads clocks only —
+            it never changes scheduling decisions, so traced and
+            untraced runs produce identical STGs.
     """
 
     def __init__(self, behavior: Behavior, library: Library,
@@ -131,14 +126,15 @@ class Scheduler:
         Raises:
             ScheduleError: if the allocation cannot implement some
                 operation at all.
+            MarkovError: if a fragment's sub-chain cannot be solved.
         """
         with self.tracer.span("schedule",
                               behavior=self.behavior.name) as span:
-            result = self._schedule(span)
+            result = self._schedule()
             span.set(states=len(result.stg.states))
             return result
 
-    def _schedule(self, span) -> ScheduleResult:
+    def _schedule(self) -> ScheduleResult:
         behavior = self.behavior
         stg = Stg(behavior.name)
         self._main_stg = stg
@@ -167,10 +163,9 @@ class Scheduler:
                 once.append(entry_sid)  # fresh dispatch state
         stg.entry, stg.exit = entry_sid, exit_sid
         stg.validate()
-        result = ScheduleResult(stg, behavior, self.library, self.allocation,
-                                self.config, self.branch_probs)
-        result.visits = self._spliced_visits(stg, once, span)
-        return result
+        return ScheduleResult(stg, behavior, self.library, self.allocation,
+                              self.config, self._spliced_visits(stg, once),
+                              self.branch_probs)
 
     # ------------------------------------------------------------------
     def _region(self, ctx: ScheduleContext, region: Region) -> Frag:
@@ -292,7 +287,13 @@ class Scheduler:
             return None
 
     def _measure(self, variant: CachedFragment) -> float:
-        """Expected cycles of a variant entered once and left once."""
+        """Expected cycles of a variant entered once and left once.
+
+        The one full-chain solve in the scheduler: ``scratch`` holds no
+        cached pieces, so there are no fragment solves to splice, and a
+        sum of fragment solves may differ from this one in the last bit
+        — enough to flip a near-tie between variants.
+        """
         scratch = Stg("scratch")
         frag, _ = splice(scratch, variant)
         entry = scratch.add_state(label="in")
@@ -309,52 +310,33 @@ class Scheduler:
         finally:
             self.region_cache.solver_time += time.perf_counter() - t0
 
-    def _spliced_visits(self, stg: Stg, once: List[int],
-                        span=None) -> Dict[int, float]:
+    def _spliced_visits(self, stg: Stg, once: List[int]
+                        ) -> Dict[int, float]:
         """Assemble expected visits from memoized per-fragment solves.
 
         Sequential composition hands the full unit of probability mass
         to each top-level fragment per execution, so a fragment's visit
         totals — solved once, in isolation, under its entry-port weights
-        — are exact wherever the fragment is spliced.  Falls back to one
-        full-chain solve if any fragment's sub-chain is singular or the
-        fragments do not tile the STG (both content-dependent, so a warm
-        and a cold cache fall back alike).
+        — are exact wherever the fragment is spliced.  Every cycle the
+        scheduler emits exits with positive probability, so every
+        sub-chain drains; a solve that fails anyway raises
+        ``MarkovError``.
         """
-        cache = self.region_cache
         visits: Dict[int, float] = {}
-        ok = True
         for cached, idmap in self._pieces:
-            fv = cache.visits_of(cached, self.tracer)
-            if fv is None:
-                ok = False
-                break
-            for local_sid, v in fv.items():
+            for local_sid, v in self.region_cache.visits_of(
+                    cached, self.tracer).items():
                 visits[idmap[local_sid]] = v
-        if ok:
-            for sid in once:
-                visits[sid] = 1.0
-            if len(visits) == len(stg.states):
-                # Iteration order must match expected_visits() (transient
-                # states by id, exit last): downstream sums over
-                # .values() are float-order sensitive, so spliced and
-                # fallback visits must sum alike.
-                ordered = {sid: visits[sid] for sid in sorted(visits)
-                           if sid != stg.exit}
-                ordered[stg.exit] = visits[stg.exit]
-                return ordered
-        if span is not None:
-            # Singular sub-chain or non-tiling fragments: the whole
-            # chain is re-solved (see docs/observability.md on why a
-            # high fallback count hurts evaluation cost).
-            span.set(markov_fallback=True)
-        t0 = time.perf_counter()
-        try:
-            full = expected_visits(stg, self.tracer)
-        finally:
-            cache.solver_time += time.perf_counter() - t0
-        cache.markov_full += 1
-        return full
+        for sid in once:
+            visits[sid] = 1.0
+        # The top-level pieces and the ``once`` states tile the STG.
+        assert len(visits) == len(stg.states), stg.name
+        # Transient states by id, exit last — the order a full solve
+        # reports them in, which downstream float sums depend on.
+        ordered = {sid: visits[sid] for sid in sorted(visits)
+                   if sid != stg.exit}
+        ordered[stg.exit] = visits[stg.exit]
+        return ordered
 
 
 def schedule_behavior(behavior: Behavior, library: Library,

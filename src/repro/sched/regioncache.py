@@ -27,8 +27,9 @@ cost proportional to *what changed*:
 * :class:`RegionScheduleCache` — a bounded LRU filled through one
   fetch-or-build path (:meth:`~RegionScheduleCache.fetch`), with
   ``CacheStats`` hit/miss/eviction counters plus state and
-  Markov-solver bookkeeping (local solves, reuses, full-solve
-  fallbacks, time).
+  Markov-solver bookkeeping (local solves, reuses, time).  Its
+  per-fragment solves (:meth:`~RegionScheduleCache.visits_of`) are the
+  only expected-visit analysis a scheduled design has.
 
 Two grains are cached: units, and the phase kernels of a concurrent
 loop run (keyed ``<unit key>:phase:<passes>``).  The alternative
@@ -61,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
                             SeqRegion)
-from ..errors import MarkovError, ScheduleError
+from ..errors import ScheduleError
 from ..obs.trace import NULL_TRACER, AnyTracer
 from ..stg.markov import fragment_visits
 from ..stg.model import ScheduledOp, Stg
@@ -155,16 +156,13 @@ class CachedFragment:
     build; its states are numbered 0..n-1 in creation order, which is
     what lets :func:`splice` reproduce a from-scratch build exactly.
     ``visits`` memoizes the fragment's expected-visit totals (solved at
-    most once per entry — the localized Markov re-analysis);
-    ``solve_failed`` remembers that the sub-chain was singular so the
-    caller falls back to a full solve without retrying.
+    most once per entry — the localized Markov re-analysis).
     """
 
     stg: Stg
     entries: List[Port] = field(default_factory=list)
     exits: List[Port] = field(default_factory=list)
     visits: Optional[Dict[int, float]] = None
-    solve_failed: bool = False
     #: The build found no fragment (it returned None); remembered so
     #: every fetch reproduces the same decision without rebuilding.
     build_failed: bool = False
@@ -202,9 +200,9 @@ class RegionScheduleCache:
 
     Counters: ``stats`` (a :class:`~repro.core.evalcache.CacheStats`)
     tracks unit and phase-kernel lookups; ``markov_local`` /
-    ``markov_reused`` / ``markov_full`` count fragment sub-chain solves,
-    memoized reuses and full-solve fallbacks; ``solver_time``
-    accumulates seconds spent in Markov solves; ``states_built`` /
+    ``markov_reused`` count fragment sub-chain solves and memoized
+    reuses; ``solver_time`` accumulates seconds spent in Markov solves
+    (the scheduler's variant measurements included); ``states_built`` /
     ``states_reused`` count STG states emitted by fresh scheduling vs.
     served from the cache (their ratio is the *reschedule fraction*
     reported by the telemetry).
@@ -218,7 +216,6 @@ class RegionScheduleCache:
         self.context_fp = context_fp
         self.markov_local = 0
         self.markov_reused = 0
-        self.markov_full = 0
         self.solver_time = 0.0
         self.states_built = 0
         self.states_reused = 0
@@ -291,17 +288,17 @@ class RegionScheduleCache:
 
     # -- localized Markov analysis --------------------------------------
     def visits_of(self, cached: CachedFragment,
-                  tracer: AnyTracer = NULL_TRACER
-                  ) -> Optional[Dict[int, float]]:
+                  tracer: AnyTracer = NULL_TRACER) -> Dict[int, float]:
         """Expected-visit totals of the fragment's sub-chain, memoized.
 
         A reused fragment is never solved again — this is the localized
-        re-analysis.  Returns None when the sub-chain cannot be solved
-        in isolation (singular system); callers then fall back to one
-        full solve of the assembled STG.
+        re-analysis.
+
+        Raises:
+            MarkovError: if the sub-chain cannot be solved in isolation
+                (it does not drain, or exceeds the analysis limit); the
+                assembled STG could not be solved either.
         """
-        if cached.solve_failed:
-            return None
         if cached.visits is not None:
             self.markov_reused += 1
             return cached.visits
@@ -314,17 +311,13 @@ class RegionScheduleCache:
         t0 = time.perf_counter()
         try:
             cached.visits = fragment_visits(cached.stg, sources, tracer)
-        except MarkovError:
-            cached.solve_failed = True
-            return None
         finally:
             self.solver_time += time.perf_counter() - t0
         self.markov_local += 1
         return cached.visits
 
     # -- bookkeeping ----------------------------------------------------
-    def snapshot(self) -> Tuple[int, int, int, int, int, float, int, int,
-                                int]:
+    def snapshot(self) -> Tuple[int, int, int, int, float, int, int, int]:
         """Counter snapshot for per-candidate deltas.
 
         The engine diffs two snapshots around each candidate and ships
@@ -335,10 +328,9 @@ class RegionScheduleCache:
         under-reports; see :mod:`repro.obs.metrics`).
 
         Order: ``(hits, misses, markov_local, markov_reused,
-        markov_full, solver_time, states_built, states_reused,
-        evictions)``.
+        solver_time, states_built, states_reused, evictions)``.
         """
         s = self.stats
         return (s.hits, s.misses, self.markov_local, self.markov_reused,
-                self.markov_full, self.solver_time, self.states_built,
-                self.states_reused, s.evictions)
+                self.solver_time, self.states_built, self.states_reused,
+                s.evictions)

@@ -94,10 +94,6 @@ class OpSlot:
     end_cycle: int
     end_ns: float
 
-    @property
-    def end_position(self) -> Position:
-        return Position(self.end_cycle, self.end_ns)
-
 
 @dataclass
 class BlockSchedule:
@@ -169,13 +165,6 @@ class ResourceModel:
             return None, 0.0
         fu = self.library.fu_for(kind)
         return (fu.name, fu.delay) if fu is not None else (None, 0.0)
-
-    def cycles_of(self, nid: int, clock: float) -> int:
-        """Cycles the node occupies when started at offset 0."""
-        delay = self.delay_of(nid)
-        if delay <= 0:
-            return 0
-        return max(1, math.ceil(delay / clock - 1e-9))
 
     def _const_shift(self, nid: int) -> bool:
         src = self.graph.input_ports(nid).get(1)

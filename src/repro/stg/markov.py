@@ -170,8 +170,7 @@ def fragment_visits(stg: Stg, sources: Mapping[int, float],
     Raises:
         MarkovError: if a source state is unknown, the fragment exceeds
             the analysis size limit, or its internal chain does not
-            drain (singular system) — callers fall back to a full
-            :func:`expected_visits` solve.
+            drain (singular system).
     """
     ids = stg.state_ids()
     n = len(ids)

@@ -49,12 +49,6 @@ class Binding:
     assignment: Dict[int, FuInstance] = field(default_factory=dict)
     instances: Dict[str, List[FuInstance]] = field(default_factory=dict)
 
-    def instance_of(self, nid: int) -> FuInstance:
-        try:
-            return self.assignment[nid]
-        except KeyError:
-            raise SynthError(f"node {nid} is not bound") from None
-
     def ops_on(self, instance: FuInstance) -> List[int]:
         return sorted(n for n, inst in self.assignment.items()
                       if inst == instance)

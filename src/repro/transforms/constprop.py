@@ -43,12 +43,6 @@ _IDENTITIES: List[Tuple[OpKind, Optional[int], int, str]] = [
 ]
 
 
-def _is_control_source(behavior: Behavior, nid: int) -> bool:
-    if behavior.graph.control_users(nid):
-        return True
-    return any(loop.cond == nid for loop in behavior.loops())
-
-
 class ConstantPropagation(Transformation):
     """Fold constant subexpressions and algebraic identities."""
 

@@ -82,7 +82,7 @@ class TestBackendIndependence:
         sreg, preg = serial.metrics(), pool.metrics()
         for parts in (("stg.states_built", "stg.states_reused"),
                       ("region_cache.hits", "region_cache.misses"),
-                      ("markov.local", "markov.reused", "markov.full")):
+                      ("markov.local", "markov.reused")):
             assert sum(sreg.value(p) for p in parts) \
                 == sum(preg.value(p) for p in parts), parts
 

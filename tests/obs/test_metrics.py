@@ -62,7 +62,7 @@ class TestAbsorption:
                           region_hits=5, region_evictions=2,
                           states_built=30, states_reused=10,
                           markov_local=3, markov_reused=1,
-                          markov_full=1, sched_time=0.5,
+                          sched_time=0.5,
                           solver_time=0.1)
         reg.absorb_eval_stats(stats)
         assert reg.value("engine.scheduled") == 4
@@ -72,7 +72,7 @@ class TestAbsorption:
         assert reg.value("region_cache.hit_rate") == 0.25
         assert reg.value("stg.states_built") == 30
         assert reg.value("engine.reschedule_fraction") == 0.75
-        assert reg.value("markov.full") == 1
+        assert reg.value("markov.local") == 3
         assert reg.value("markov.solver_seconds") == 0.1
 
     def test_summary_renders_every_instrument(self):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.bench.circuits import circuit
-from repro.errors import ScheduleError
+from repro.errors import MarkovError, ScheduleError
 from repro.hw import dac98_library
 from repro.lang import compile_source
 from repro.profiling import profile
@@ -82,9 +82,10 @@ class TestLocalizedMarkov:
         assert cache.markov_reused == 1
         assert cache.markov_local == 1
 
-    def test_singular_subchain_falls_back(self):
+    def test_singular_subchain_raises(self):
         """A fragment that never reaches its exit cannot be solved in
-        isolation; the failure is remembered, not retried."""
+        isolation, and the assembled STG could not be solved either:
+        the error propagates and no local solve is counted."""
         frag = Stg("trap")
         a = frag.add_state()
         b = frag.add_state()
@@ -92,9 +93,9 @@ class TestLocalizedMarkov:
         cf = CachedFragment(frag, entries=[(a, 1.0, "")],
                             exits=[(b, 1.0, "")])
         cache = RegionScheduleCache(context_fp="t")
-        assert cache.visits_of(cf) is None
-        assert cf.solve_failed
-        assert cache.visits_of(cf) is None   # no second solve attempt
+        with pytest.raises(MarkovError):
+            cache.visits_of(cf)
+        assert cf.visits is None
         assert cache.markov_local == 0
 
 
