@@ -412,6 +412,15 @@ class Graph:
         since rewrites derive it from node ids and it would defeat
         cross-lineage matching.  Returns 16-byte digests (hot path of
         the evaluation cache — bytes avoid hex-conversion overhead).
+
+        Each round hashes a node's signature followed by one sorted join
+        of its neighbour chunks, ``tag + neighbour signature``, from
+        neighbour lists built once per call.  The tag is fixed-width per
+        neighbour group — data input ``\\x01`` and data user ``\\x02``
+        plus the 2-byte big-endian port, guard ``\\x03`` and guarded
+        node ``\\x04`` plus a polarity byte, order predecessor ``\\x05``
+        and successor ``\\x06`` — so the one sort orders the groups by
+        tag byte and each group by (port or polarity, signature).
         """
         sig: Dict[int, bytes] = {}
         for nid, n in self.nodes.items():
@@ -420,30 +429,32 @@ class Graph:
                 .encode()).digest()
         cap = rounds if rounds is not None else 8
         n_classes = len(set(sig.values()))
-        cin, cout = self._cin.get, self._cout.get
-        oin, oout = self._oin.get, self._oout.get
+        # Every edge is listed at both ends: the in-edge tables are the
+        # exact mirrors of the out-edge ones.
+        nbrs: Dict[int, List[Tuple[bytes, int]]] = {
+            nid: [] for nid in self.nodes}
+        for dst, ports in self._din.items():
+            for p, src in ports.items():
+                port = p.to_bytes(2, "big")
+                nbrs[dst].append((b"\x01" + port, src))
+                nbrs[src].append((b"\x02" + port, dst))
+        for dst, guards in self._cin.items():
+            for src, pol in guards:
+                polarity = bytes([pol])
+                nbrs[dst].append((b"\x03" + polarity, src))
+                nbrs[src].append((b"\x04" + polarity, dst))
+        for dst, preds in self._oin.items():
+            for src in preds:
+                nbrs[dst].append((b"\x05", src))
+                nbrs[src].append((b"\x06", dst))
+        blake2b, join = hashlib.blake2b, b"".join
         for _ in range(cap):
-            nxt: Dict[int, bytes] = {}
-            for nid in self.nodes:
-                h = _digest(sig[nid])
-                for p, s in sorted((p, sig[s]) for p, s
-                                   in self._din[nid].items()):
-                    h.update(b"\x01" + p.to_bytes(2, "big") + s)
-                for p, s in sorted((p, sig[d]) for d, p
-                                   in self._dout[nid]):
-                    h.update(b"\x02" + p.to_bytes(2, "big") + s)
-                for pol, s in sorted((pol, sig[s]) for s, pol
-                                     in cin(nid, ())):
-                    h.update(b"\x03" + bytes([pol]) + s)
-                for pol, s in sorted((pol, sig[d]) for d, pol
-                                     in cout(nid, ())):
-                    h.update(b"\x04" + bytes([pol]) + s)
-                for s in sorted(sig[s] for s in oin(nid, ())):
-                    h.update(b"\x05" + s)
-                for s in sorted(sig[d] for d in oout(nid, ())):
-                    h.update(b"\x06" + s)
-                nxt[nid] = h.digest()
-            sig = nxt
+            prev, sig = sig, {}
+            for nid, nb in nbrs.items():
+                chunks = [tag + prev[m] for tag, m in nb]
+                chunks.sort()
+                sig[nid] = blake2b(prev[nid] + join(chunks),
+                                   digest_size=16).digest()
             classes = len(set(sig.values()))
             if classes == n_classes:
                 break  # partition stable: further rounds cannot refine

@@ -4,7 +4,8 @@ End-to-end flow:
 
 1. **Schedule** the input behavior with the CFI scheduler (step 1).
 2. **Profile** the CDFG against typical input traces to obtain branch
-   probabilities (reused for every rescheduling).
+   probabilities (reused for every rescheduling, and across the runs
+   of one :class:`Fact` on the same behavior and traces).
 3. **Partition** the STG into hot blocks by relative transition
    frequency (step 2) and collect the CDFG operations they execute
    (step 3) — the search focuses its candidates there.
@@ -18,8 +19,9 @@ the Vdd-scaling baseline (Example 1's iso-throughput rule).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from ..cdfg.regions import Behavior
 from ..errors import SearchError
@@ -34,6 +36,7 @@ from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import BranchProbs, SchedConfig
 from ..transforms import TransformLibrary, default_library
 from .engine import context_fingerprint
+from .evalcache import cached_raw_fingerprint
 from .objectives import POWER, THROUGHPUT, Objective
 from .partition import hot_cdfg_nodes
 from .search import Evaluated, SearchConfig, SearchResult, TransformSearch
@@ -135,6 +138,27 @@ class FactResult:
         }
 
 
+#: (raw fingerprint, loop names, trace content): what ``profile`` reads
+_ProfileKey = Tuple[str, Tuple[str, ...], Tuple]
+
+
+def _profile_key(behavior: Behavior, traces: TraceSet) -> _ProfileKey:
+    """The key under which :class:`Fact` memoizes a profile.
+
+    A :class:`Profile` keys ``cond_counts`` and ``branch_probs`` by node
+    id, so the key takes the numbering-sensitive raw fingerprint (a
+    renumbered twin shares the canonical one); it keys
+    ``loop_iterations`` by loop name, which the raw fingerprint leaves
+    out.  Trace cases are compared by content.
+    """
+    return (cached_raw_fingerprint(behavior),
+            tuple(lp.name for lp in behavior.loops()),
+            tuple((tuple(case.inputs.items()),
+                   tuple((name, tuple(values))
+                         for name, values in case.arrays.items()))
+                  for case in traces))
+
+
 class Fact:
     """The FACT optimizer: transformations guided by scheduling."""
 
@@ -158,6 +182,10 @@ class Fact:
         # to share schedules across Fact instances.
         self._region_caches: Dict[str, RegionScheduleCache] = \
             region_caches if region_caches is not None else {}
+        # Profiles this instance has computed (paper §4.1: profile once,
+        # reuse for every rescheduling), so a Table-2 power run reuses
+        # the matching throughput run's profile.
+        self._profiles: Dict[_ProfileKey, Profile] = {}
 
     def region_cache(self, allocation: Allocation,
                      branch_probs: Optional[BranchProbs]
@@ -184,7 +212,9 @@ class Fact:
             behavior: the input CDFG + regions.
             allocation: functional-unit allocation constraints.
             traces: typical input traces for profiling (optional if
-                ``branch_probs`` is supplied or defaults suffice).
+                ``branch_probs`` is supplied or defaults suffice).  The
+                profile is computed once per behavior and trace content
+                on this instance; later runs reuse a copy.
             objective: ``"throughput"`` or ``"power"``.
             branch_probs: precomputed branch probabilities (skip
                 profiling).
@@ -194,8 +224,16 @@ class Fact:
                          objective=objective) as span:
             prof: Optional[Profile] = None
             if branch_probs is None and traces is not None:
-                with tracer.span("profile"):
-                    prof = profile(behavior, traces)
+                with tracer.span("profile") as prof_span:
+                    key = _profile_key(behavior, traces)
+                    memo = self._profiles.get(key)
+                    prof_span.set(memo="miss" if memo is None else "hit")
+                    if memo is None:
+                        memo = self._profiles[key] = profile(behavior,
+                                                             traces)
+                    # Each result owns its copy: editing it cannot
+                    # change a later run's branch probabilities.
+                    prof = copy.deepcopy(memo)
                     branch_probs = dict(prof.branch_probs)
 
             region_cache = self.region_cache(allocation, branch_probs)

@@ -4,7 +4,10 @@ The first step of the FACT flow (paper Section 4.1): "The simulation
 yields the number of times each branch in the CDFG is encountered, from
 which the probability of a branch can be computed."  Once computed, the
 probabilities are reused for every rescheduling inside the
-transformation loop — simulation happens only once per run.
+transformation loop.  Each :func:`profile` call simulates every trace
+again; :class:`~repro.core.fact.Fact` memoizes the profiles it computes,
+so the runs of one ``Fact`` on the same behavior and traces (a Table-2
+throughput run and its power run) simulate them once.
 """
 
 from __future__ import annotations

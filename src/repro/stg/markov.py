@@ -104,7 +104,11 @@ def _solve_visits(name: str, transitions: List[Transition],
                             continue
                         q[si, di] += t.prob
                     v = np.linalg.solve(np.eye(n) - q.T, e)
-            except Exception as exc:
+                # spsolve does not raise on a singular system: it warns
+                # and returns NaN.
+                if not np.all(np.isfinite(v)):
+                    raise np.linalg.LinAlgError("Singular matrix")
+            except np.linalg.LinAlgError as exc:
                 span.set(singular=True)
                 raise MarkovError(
                     f"{name}: absorbing-chain solve failed ({exc}); the "

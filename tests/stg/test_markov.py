@@ -1,10 +1,13 @@
 """STG model and Markov analysis tests."""
 
+import sys
+
 import pytest
 
 from repro.errors import MarkovError, StgError
 from repro.stg import (Stg, average_schedule_length, expected_visits,
                        simulate, state_probabilities, throughput)
+from repro.stg.markov import SPARSE_THRESHOLD, fragment_visits
 
 
 def linear_stg(n):
@@ -121,6 +124,45 @@ class TestValidation:
         b = stg.add_state()
         with pytest.raises(StgError):
             stg.add_transition(a, b, 1.5)
+
+
+def trapped_chain(n_states):
+    """A chain of ``n_states`` states; state 10 leaves with probability
+    0.5 into a state that loops on itself forever."""
+    stg = Stg("chain")
+    ids = [stg.add_state() for _ in range(n_states - 1)]
+    trap = stg.add_state(label="trap")
+    for a, b in zip(ids, ids[1:]):
+        stg.add_transition(a, b, 0.5 if a == ids[10] else 1.0)
+    stg.add_transition(ids[10], trap, 0.5)
+    stg.add_transition(trap, trap, 1.0)
+    stg.entry, stg.exit = ids[0], ids[-1]
+    return stg
+
+
+def entry_fragment_visits(stg):
+    return fragment_visits(stg, {stg.entry: 1.0})
+
+
+class TestSingularSolves:
+    """A chain that may loop forever raises on the dense and the sparse
+    path alike (the sparse solver returns NaN instead of raising)."""
+
+    @pytest.mark.filterwarnings(
+        "ignore::scipy.sparse.linalg.MatrixRankWarning")
+    # about 100 states solve dense, about 700 sparse
+    @pytest.mark.parametrize("n_states", (101, SPARSE_THRESHOLD + 101))
+    @pytest.mark.parametrize("solve",
+                             (expected_visits, entry_fragment_visits))
+    def test_loop_forever_raises(self, solve, n_states):
+        with pytest.raises(MarkovError, match=r"chain: absorbing-chain "
+                           r"solve failed \(Singular matrix\)"):
+            solve(trapped_chain(n_states))
+
+    def test_missing_scipy_is_not_a_singular_chain(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+        with pytest.raises(ImportError):
+            expected_visits(linear_stg(SPARSE_THRESHOLD + 100))
 
 
 class TestSimulationAgreement:
