@@ -20,13 +20,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.flamel import run_flamel
-from ..baselines.m1 import run_m1
 from ..cdfg.regions import Behavior
 from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT
 from ..core.search import SearchConfig
 from ..hw import Library, dac98_library
-from ..profiling.profiler import profile
 from ..sched.driver import ScheduleResult
 from .circuits import CIRCUITS, Circuit, circuit
 
@@ -104,18 +102,23 @@ class PowerRow:
 def run_throughput_row(name: str, library: Optional[Library] = None,
                        search: Optional[SearchConfig] = None,
                        workers: Optional[int] = None) -> ThroughputRow:
-    """Run M1 / Flamel / FACT on a circuit in throughput mode."""
+    """Run M1 / Flamel / FACT on a circuit in throughput mode.
+
+    M1 is FACT's initial design: the untransformed behavior through the
+    same scheduler, under the branch probabilities FACT profiled.
+    """
     c = circuit(name)
     lib = library or dac98_library()
     beh = c.behavior()
-    probs = profile(beh, c.traces(beh)).branch_probs
-    m1 = run_m1(beh, lib, c.allocation, c.sched, probs)
-    fl = run_flamel(beh, lib, c.allocation, c.sched, probs)
     fact = Fact(lib, config=FactConfig(
         sched=c.sched, search=_resolve_search(search, workers)))
-    res = fact.optimize(beh, c.allocation, branch_probs=probs,
+    res = fact.optimize(beh, c.allocation, traces=c.traces(beh),
                         objective=THROUGHPUT)
-    assert res.best.result is not None
+    m1 = res.initial.result
+    assert m1 is not None and res.best.result is not None
+    assert res.profile is not None
+    fl = run_flamel(beh, lib, c.allocation, c.sched,
+                    res.profile.branch_probs)
     return ThroughputRow(
         circuit=c,
         m1=MethodRun("M1", beh, m1, m1.average_length()),
@@ -135,10 +138,9 @@ def run_power_row(name: str, library: Optional[Library] = None,
     c = circuit(name)
     lib = library or dac98_library()
     beh = c.behavior()
-    probs = profile(beh, c.traces(beh)).branch_probs
     fact = Fact(lib, config=FactConfig(
         sched=c.sched, search=_resolve_search(search, workers)))
-    res = fact.optimize(beh, c.allocation, branch_probs=probs,
+    res = fact.optimize(beh, c.allocation, traces=c.traces(beh),
                         objective=POWER)
     # The search's initial design is M1: the untransformed behavior
     # through the same scheduler.

@@ -131,13 +131,6 @@ class LoopRegion(Region):
         yield self
         yield from self.body.walk()
 
-    def join_of(self, name: str) -> int:
-        """Header join node id for loop variable ``name``."""
-        for lv in self.loop_vars:
-            if lv.name == name:
-                return lv.join
-        raise CdfgError(f"loop {self.name} has no loop variable {name!r}")
-
 
 @dataclass
 class ArrayDecl:
@@ -201,13 +194,6 @@ class Behavior:
                 return lp
         raise CdfgError(f"behavior {self.name} has no loop {name!r}")
 
-    def owner_block(self, nid: int) -> Optional[BlockRegion]:
-        """The block region containing node ``nid``, if any."""
-        for r in self.region.walk():
-            if isinstance(r, BlockRegion) and nid in r.nodes:
-                return r
-        return None
-
     def region_node_ids(self) -> Set[int]:
         """All node ids claimed by the region tree."""
         return self.region.node_ids()
@@ -231,4 +217,31 @@ def _copy_region(region: Region) -> Region:
             body=_copy_region(region.body),
             trip_count=region.trip_count,
         )
+    raise CdfgError(f"unknown region type {type(region).__name__}")
+
+
+def region_shape(region: Region, conds: Set[int]) -> str:
+    """Exact serialization of a region tree over raw node ids.
+
+    The numbering-sensitive keys (:func:`repro.sched.regioncache
+    .unit_key` and :func:`repro.core.evalcache.behavior_raw_fingerprint`)
+    are built from it.  It covers loop names, which loop matches carry
+    and ``apply`` looks their loop up by.  Collects loop condition ids
+    into ``conds`` along the way (their probability bookkeeping must
+    enter a unit key even when the condition node itself carries no
+    control edge inside the unit).
+    """
+    if isinstance(region, BlockRegion):
+        # The block scheduler treats members as a set.
+        return f"B{sorted(region.nodes)}"
+    if isinstance(region, SeqRegion):
+        return "S(" + ",".join(region_shape(c, conds)
+                               for c in region.children) + ")"
+    if isinstance(region, LoopRegion):
+        conds.add(region.cond)
+        return (f"L({region.name},"
+                f"vars={[(lv.name, lv.join) for lv in region.loop_vars]},"
+                f"conds={sorted(region.cond_nodes)},cond={region.cond},"
+                f"trip={region.trip_count},"
+                f"body={region_shape(region.body, conds)})")
     raise CdfgError(f"unknown region type {type(region).__name__}")

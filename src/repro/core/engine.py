@@ -192,14 +192,13 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
                ) -> Tuple[Optional[ScheduleResult], float, EvalStats]:
     """Schedule and score one behavior ((None, inf, ...) if
     unschedulable).  The returned :class:`EvalStats` is the per-candidate
-    delta of the region cache's counters (picklable, so pool workers can
-    ship it home)."""
+    delta of the region cache's counters plus the candidate's own
+    timings (picklable, so pool workers can ship it home)."""
     with tracer.span("evaluate", cache="miss") as span:
         if key is not None:
             span.set(candidate=key[:16])
         before = region_cache.snapshot()
         solve_before = _markov.solve_seconds()
-        stats = EvalStats(scheduled=1)
         t0 = time.perf_counter()
         try:
             result = Scheduler(behavior, ctx.library, ctx.allocation,
@@ -212,17 +211,11 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
         except ReproError as err:
             result, score = None, float("inf")
             span.set(unschedulable=type(err).__name__)
-        stats.sched_time = time.perf_counter() - t0
+        sched_time = time.perf_counter() - t0
+        stats = region_cache.snapshot().minus(before)
+        stats.scheduled = 1
+        stats.sched_time = sched_time
         stats.numeric_seconds = _markov.solve_seconds() - solve_before
-        after = region_cache.snapshot()
-        (stats.region_hits, stats.region_requests, stats.markov_local,
-         stats.markov_reused, stats.solver_time, stats.states_built,
-         stats.states_reused, stats.region_evictions) = (
-            after[0] - before[0],
-            (after[0] - before[0]) + (after[1] - before[1]),
-            after[2] - before[2], after[3] - before[3],
-            after[4] - before[4], after[5] - before[5],
-            after[6] - before[6], after[7] - before[7])
         # inf is not valid JSON; unschedulable candidates carry the
         # `unschedulable` attribute instead of a score.
         span.set(score=score if score != float("inf") else None,

@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
-                            SeqRegion)
+                            SeqRegion, region_shape)
 from ..errors import CdfgError
 
 
@@ -77,31 +77,17 @@ def behavior_fingerprint(behavior: Behavior) -> str:
     return _digest("|".join(parts).encode()).hexdigest()
 
 
-def _region_raw_repr(region: Region) -> str:
-    """Like :func:`_region_repr` but over raw node ids (no WL hashing)."""
-    if isinstance(region, BlockRegion):
-        return f"B({sorted(region.nodes)})"
-    if isinstance(region, SeqRegion):
-        return "S(" + ",".join(_region_raw_repr(c)
-                               for c in region.children) + ")"
-    if isinstance(region, LoopRegion):
-        lvs = sorted((lv.name, lv.join) for lv in region.loop_vars)
-        return (f"L(vars={lvs},cond_nodes={sorted(region.cond_nodes)},"
-                f"cond={region.cond},trip={region.trip_count},"
-                f"body={_region_raw_repr(region.body)})")
-    raise CdfgError(f"unknown region type {type(region).__name__}")
-
-
 def behavior_raw_fingerprint(behavior: Behavior) -> str:
     """Content hash of a behavior, *sensitive* to node numbering.
 
     The rewrite driver's match cache and the engine's (parent × match)
     memoization key on this: a :class:`~repro.rewrite.pattern.Match`
-    names concrete node ids, so it may only be reused on a behavior that
-    is byte-identical *including* numbering — the canonical fingerprint
-    would wrongly merge renumbered twins whose ids mean different
-    things.  A single pass (no WL refinement), so it is roughly an
-    order of magnitude cheaper than :func:`behavior_fingerprint`.
+    names concrete node ids (and a loop match its loop's name), so it
+    may only be reused on a behavior that is byte-identical *including*
+    numbering and loop names — the canonical fingerprint would wrongly
+    merge renumbered twins whose ids mean different things.  A single
+    pass (no WL refinement), so it is roughly an order of magnitude
+    cheaper than :func:`behavior_fingerprint`.
     """
     g = behavior.graph
     h = _digest()
@@ -113,7 +99,7 @@ def behavior_raw_fingerprint(behavior: Behavior) -> str:
                  f"c{sorted(g.control_inputs(nid))!r};"
                  f"o{sorted(g.order_preds(nid))!r};".encode())
     h.update("|".join([
-        _region_raw_repr(behavior.region),
+        region_shape(behavior.region, set()),
         repr(behavior.inputs),
         repr(behavior.outputs),
         repr(sorted((a.name, a.size, a.ports)

@@ -138,21 +138,19 @@ class FactResult:
         }
 
 
-#: (raw fingerprint, loop names, trace content): what ``profile`` reads
-_ProfileKey = Tuple[str, Tuple[str, ...], Tuple]
+#: (raw fingerprint, trace content): what ``profile`` reads
+_ProfileKey = Tuple[str, Tuple]
 
 
 def _profile_key(behavior: Behavior, traces: TraceSet) -> _ProfileKey:
     """The key under which :class:`Fact` memoizes a profile.
 
     A :class:`Profile` keys ``cond_counts`` and ``branch_probs`` by node
-    id, so the key takes the numbering-sensitive raw fingerprint (a
-    renumbered twin shares the canonical one); it keys
-    ``loop_iterations`` by loop name, which the raw fingerprint leaves
-    out.  Trace cases are compared by content.
+    id and ``loop_iterations`` by loop name, so the key takes the raw
+    fingerprint, which both enter (a renumbered twin shares the
+    canonical one).  Trace cases are compared by content.
     """
     return (cached_raw_fingerprint(behavior),
-            tuple(lp.name for lp in behavior.loops()),
             tuple((tuple(case.inputs.items()),
                    tuple((name, tuple(values))
                          for name, values in case.arrays.items()))
@@ -165,8 +163,6 @@ class Fact:
     def __init__(self, library: Optional[Library] = None,
                  transforms: Optional[TransformLibrary] = None,
                  config: Optional[FactConfig] = None,
-                 region_caches: Optional[
-                     Dict[str, RegionScheduleCache]] = None,
                  trace: Optional[AnyTracer] = None) -> None:
         self.library = library or dac98_library()
         self.transforms = transforms or default_library()
@@ -178,10 +174,8 @@ class Fact:
         # Region-schedule caches keyed by evaluation context, shared by
         # every run of this Fact instance: objectives are not part of
         # the region-cache namespace, so e.g. a Table-2 throughput run
-        # warms the cache for the matching power run.  Pass a registry
-        # to share schedules across Fact instances.
-        self._region_caches: Dict[str, RegionScheduleCache] = \
-            region_caches if region_caches is not None else {}
+        # warms the cache for the matching power run.
+        self._region_caches: Dict[str, RegionScheduleCache] = {}
         # Profiles this instance has computed (paper §4.1: profile once,
         # reuse for every rescheduling), so a Table-2 power run reuses
         # the matching throughput run's profile.

@@ -71,12 +71,3 @@ class Objective:
                     / (baseline * self.cycle_time))
         # Slower than the iso-throughput constraint allows: penalize.
         return est.power * (length / baseline)
-
-    def describe(self, result: ScheduleResult) -> str:
-        """Human-readable metric line for reports."""
-        length = result.average_length()
-        if self.kind == THROUGHPUT:
-            return (f"avg schedule length {length:.2f} cycles, "
-                    f"throughput x1000 = {1000.0 / length:.1f}")
-        cost = self.evaluate(result)
-        return f"power {cost:.2f} (len {length:.2f})"

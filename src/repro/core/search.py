@@ -223,7 +223,6 @@ class TransformSearch:
                  branch_probs: Optional[BranchProbs] = None,
                  config: Optional[SearchConfig] = None,
                  hot_nodes: Optional[Set[int]] = None,
-                 engine: Optional[EvaluationEngine] = None,
                  region_cache=None,
                  tracer: Optional[AnyTracer] = None) -> None:
         self.transforms = transforms
@@ -234,60 +233,36 @@ class TransformSearch:
         self.branch_probs = branch_probs
         self.config = config or SearchConfig()
         self.hot_nodes = hot_nodes
-        #: externally supplied engine (caller manages its lifetime);
-        #: when None, each run creates and closes its own.
-        self.engine = engine
         #: externally shared region-schedule cache (e.g. the Fact
-        #: driver's per-context registry), handed to engines this search
-        #: creates; must match this search's evaluation context.
+        #: driver's per-context registry), handed to the engine each
+        #: run creates; must match this search's evaluation context.
         self.region_cache = region_cache
-        #: tracer for search.generation / apply spans; engines created
-        #: by this search inherit it.  An externally supplied engine
-        #: keeps its own tracer (see :meth:`run`).
+        #: tracer for search.generation / apply spans, inherited by the
+        #: engine each run creates.
         self.tracer: AnyTracer = tracer if tracer is not None \
             else NULL_TRACER
         #: rewrite driver owning candidate enumeration: memoized per
         #: behavior (raw fingerprint).  Shared across runs of this
         #: search.
         self.driver = RewriteDriver(transforms, tracer=self.tracer)
-        self._shared_engine: Optional[EvaluationEngine] = None
         self._fresh_from: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def _make_engine(self) -> EvaluationEngine:
-        return EvaluationEngine(
-            self.library, self.allocation, self.objective,
-            sched_config=self.sched_config,
-            branch_probs=self.branch_probs,
-            workers=self.config.workers,
-            region_cache=self.region_cache,
-            tracer=self.tracer)
-
-    def evaluate(self, behavior: Behavior,
-                 lineage: Tuple[str, ...] = ()) -> Evaluated:
-        """Reschedule a behavior and score it (inf if unschedulable)."""
-        if self.engine is not None:
-            return self.engine.evaluate(behavior, lineage)
-        if self._shared_engine is None:
-            self._shared_engine = self._make_engine()
-        return self._shared_engine.evaluate(behavior, lineage)
-
     def run(self, behavior: Behavior) -> SearchResult:
         """Optimize ``behavior``; returns the best design found."""
         # Runtime import: repro.search sits above repro.core in the
         # layer diagram (strategies import the engine's types).
         from ..search import make_strategy
         cfg = self.config
-        engine = self.engine if self.engine is not None \
-            else self._make_engine()
-        owns_engine = engine is not self.engine
-        # An externally supplied engine keeps its own tracer so its
-        # evaluate spans and ours land in one tree.
-        tracer = self.tracer if self.tracer.enabled else engine.tracer
+        tracer = self.tracer
+        engine = EvaluationEngine(
+            self.library, self.allocation, self.objective,
+            sched_config=self.sched_config,
+            branch_probs=self.branch_probs, workers=cfg.workers,
+            region_cache=self.region_cache, tracer=tracer)
         telemetry = SearchTelemetry(backend=engine.backend,
                                     workers=max(engine.workers, 1))
         telemetry.start()
-        run_start_stats = engine.eval_stats.minus(EvalStats())
         run_start_rewrite = self.driver.stats.copy()
         strategy = make_strategy(cfg, self._expander_factory(tracer))
         telemetry.strategy = strategy.name
@@ -335,22 +310,20 @@ class TransformSearch:
                         scheduled=gen_stats.scheduled,
                         reschedule_fraction=(
                             gen_stats.reschedule_fraction),
-                        solver_time=gen_stats.solver_time,
                         member=proposal.member)
                 finally:
                     proposal.close()
         finally:
             telemetry.finish()
             telemetry.cache = engine.stats
-            telemetry.eval = engine.eval_stats.minus(run_start_stats)
+            telemetry.eval = engine.eval_stats
             telemetry.rewrite = self.driver.stats.minus(
                 run_start_rewrite)
             telemetry.backend = engine.backend
             member_stats = getattr(strategy, "member_stats", None)
             if member_stats is not None:
                 telemetry.members = member_stats()
-            if owns_engine:
-                engine.close()
+            engine.close()
         return SearchResult(best=strategy.best, initial=initial,
                             generations=strategy.generations,
                             evaluated_count=engine.requests,

@@ -73,9 +73,10 @@ from .store import (RunStore, RunStoreWarning, StoredEval,
                     atomic_write_bytes, default_store_root)
 
 #: Version stamp of the pickled checkpoint documents.  Bumped to 2 when
-#: the telemetry records grew incremental-evaluation fields (old
-#: checkpoints would unpickle into the new dataclasses inconsistently).
-CHECKPOINT_SCHEMA = 2
+#: the telemetry records grew incremental-evaluation fields, and to 3
+#: when they dropped their second Markov timer (old checkpoints would
+#: unpickle into the new dataclasses inconsistently).
+CHECKPOINT_SCHEMA = 3
 
 
 @dataclass
@@ -304,8 +305,7 @@ class ExploreRunner:
                             front_size=len(front),
                             hypervolume=front.hypervolume_proxy(),
                             reschedule_fraction=(
-                                gen_stats.reschedule_fraction),
-                            solver_time=gen_stats.solver_time)
+                                gen_stats.reschedule_fraction))
                         self._save_checkpoint(generation, rng,
                                               population, front,
                                               telemetry,

@@ -15,10 +15,10 @@ consistent with Table 1's ratios (multiplier ≈ 2× adder, incrementer
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from .cdfg.ops import OpKind
-from .errors import AllocationError, PowerError
+from .errors import PowerError
 
 #: Pseudo FU-type prefix for per-array memories.  An array ``x`` occupies
 #: resource ``mem:x``; its port count comes from the array declaration.
@@ -121,16 +121,6 @@ class Allocation:
     def count(self, fu_name: str) -> int:
         """Available instances of ``fu_name`` (0 if not allocated)."""
         return self.counts.get(fu_name, 0)
-
-    def check_feasible(self, kinds: Iterable[OpKind],
-                       library: Library) -> None:
-        """Raise if some required FU type has a zero allocation."""
-        for kind in set(kinds):
-            fu = library.fu_for(kind)
-            if fu is not None and self.count(fu.name) < 1:
-                raise AllocationError(
-                    f"operation {kind.value} needs FU {fu.name!r} but the "
-                    f"allocation provides none")
 
     def copy(self) -> "Allocation":
         return Allocation(dict(self.counts))

@@ -27,7 +27,6 @@ assemble identical STGs — state ids, labels, transition order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -304,11 +303,7 @@ class Scheduler:
             connect(scratch, [(entry, 1.0, "")], frag.entries)
             connect(scratch, frag.exits, [(exit_, 1.0, "")])
         scratch.entry, scratch.exit = entry, exit_
-        t0 = time.perf_counter()
-        try:
-            return average_schedule_length(scratch, self.tracer)
-        finally:
-            self.region_cache.solver_time += time.perf_counter() - t0
+        return average_schedule_length(scratch, self.tracer)
 
     def _spliced_visits(self, stg: Stg, once: List[int]
                         ) -> Dict[int, float]:

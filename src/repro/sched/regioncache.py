@@ -27,9 +27,10 @@ cost proportional to *what changed*:
 * :class:`RegionScheduleCache` — a bounded LRU filled through one
   fetch-or-build path (:meth:`~RegionScheduleCache.fetch`), with
   ``CacheStats`` hit/miss/eviction counters plus state and
-  Markov-solver bookkeeping (local solves, reuses, time).  Its
-  per-fragment solves (:meth:`~RegionScheduleCache.visits_of`) are the
-  only expected-visit analysis a scheduled design has.
+  Markov-solve counts (built and reused states, local solves and
+  reuses).  Its per-fragment solves
+  (:meth:`~RegionScheduleCache.visits_of`) are the only expected-visit
+  analysis a scheduled design has.
 
 Two grains are cached: units, and the phase kernels of a concurrent
 loop run (keyed ``<unit key>:phase:<passes>``).  The alternative
@@ -45,53 +46,30 @@ scheduler config, branch probabilities): the creator stamps
 every unit key is namespaced by it.  Never share one cache across
 contexts.
 
-Observability: the counters here are *process-local*.  The engine
-diffs :meth:`RegionScheduleCache.snapshot` around every candidate and
-aggregates the deltas (see
-:class:`~repro.core.telemetry.EvalStats`), which is the backend-
-independent view the unified metrics registry and ``--stats`` report
-from.
+Observability: the counters here are *process-local*.  They are one
+:class:`~repro.core.telemetry.EvalStats` record, which the engine
+diffs around every candidate (:meth:`RegionScheduleCache.snapshot`)
+and aggregates: the backend-independent view the unified metrics
+registry and ``--stats`` report from.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..cdfg.ir import _digest
-from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
-                            SeqRegion)
-from ..errors import ScheduleError
+from ..cdfg.regions import Behavior, Region, region_shape
 from ..obs.trace import NULL_TRACER, AnyTracer
 from ..stg.markov import fragment_visits
 from ..stg.model import ScheduledOp, Stg
 from .fragments import Frag, Port
 
+if TYPE_CHECKING:
+    from ..core.telemetry import EvalStats
+
 __all__ = ["CachedFragment", "RegionScheduleCache", "splice", "unit_key"]
-
-
-def _region_shape(region: Region, conds: Set[int]) -> str:
-    """Exact serialization of a region's structure.
-
-    Collects loop condition ids into ``conds`` along the way (their
-    probability bookkeeping must enter the key even when the condition
-    node itself carries no control edge inside the unit).
-    """
-    if isinstance(region, BlockRegion):
-        # The block scheduler treats members as a set.
-        return f"B{sorted(region.nodes)}"
-    if isinstance(region, SeqRegion):
-        return "S(" + ",".join(_region_shape(c, conds)
-                               for c in region.children) + ")"
-    if isinstance(region, LoopRegion):
-        conds.add(region.cond)
-        return (f"L({region.name},"
-                f"vars={[(lv.name, lv.join) for lv in region.loop_vars]},"
-                f"conds={sorted(region.cond_nodes)},cond={region.cond},"
-                f"trip={region.trip_count},"
-                f"body={_region_shape(region.body, conds)})")
-    raise ScheduleError(f"unknown region type {type(region).__name__}")
 
 
 def unit_key(behavior: Behavior, regions: Sequence[Region], guards,
@@ -117,7 +95,7 @@ def unit_key(behavior: Behavior, regions: Sequence[Region], guards,
     for region in regions:
         ids |= region.node_ids()
     conds: Set[int] = set()
-    shape = ";".join(_region_shape(r, conds) for r in regions)
+    shape = ";".join(region_shape(r, conds) for r in regions)
     h = _digest(context_fp.encode())
     h.update(shape.encode())
     externals: Set[int] = set()
@@ -199,26 +177,23 @@ class RegionScheduleCache:
     and :meth:`fetch` is the only path that reads or fills it.
 
     Counters: ``stats`` (a :class:`~repro.core.evalcache.CacheStats`)
-    tracks unit and phase-kernel lookups; ``markov_local`` /
-    ``markov_reused`` count fragment sub-chain solves and memoized
-    reuses; ``solver_time`` accumulates seconds spent in Markov solves
-    (the scheduler's variant measurements included); ``states_built`` /
-    ``states_reused`` count STG states emitted by fresh scheduling vs.
-    served from the cache (their ratio is the *reschedule fraction*
-    reported by the telemetry).
+    tracks unit and phase-kernel lookups; ``counts`` (an
+    :class:`~repro.core.telemetry.EvalStats`) holds the rest:
+    ``states_built`` / ``states_reused`` count STG states emitted by
+    fresh scheduling vs. served from the cache (their ratio is the
+    *reschedule fraction* reported by the telemetry), and
+    ``markov_local`` / ``markov_reused`` count fragment sub-chain
+    solves and memoized reuses.  :meth:`snapshot` joins the two.
     """
 
     def __init__(self, context_fp: str = "") -> None:
-        # Runtime import: repro.core imports the scheduler package, so
-        # a module-level import here would be circular.
+        # Runtime imports: repro.core imports the scheduler package, so
+        # module-level imports here would be circular.
         from ..core.evalcache import EvalCache
+        from ..core.telemetry import EvalStats
         self._lru = EvalCache()
         self.context_fp = context_fp
-        self.markov_local = 0
-        self.markov_reused = 0
-        self.solver_time = 0.0
-        self.states_built = 0
-        self.states_reused = 0
+        self.counts = EvalStats()
 
     # -- storage --------------------------------------------------------
     @property
@@ -260,12 +235,13 @@ class RegionScheduleCache:
         entries were already booked built or reused down there.
         """
         stg = Stg("fragment")
-        booked = self.states_built + self.states_reused
+        counts = self.counts
+        booked = counts.states_built + counts.states_reused
         frag = schedule(stg)
         if frag is None:
             return None
-        nested = self.states_built + self.states_reused - booked
-        self.states_built += max(0, len(stg) - nested)
+        nested = counts.states_built + counts.states_reused - booked
+        counts.states_built += max(0, len(stg) - nested)
         return CachedFragment(stg, list(frag.entries), list(frag.exits))
 
     def fetch(self, key: str, schedule: Callable[[Stg], Optional[Frag]]
@@ -278,7 +254,7 @@ class RegionScheduleCache:
         """
         cached = self.get(key)
         if cached is not None:
-            self.states_reused += len(cached.stg)
+            self.counts.states_reused += len(cached.stg)
         else:
             cached = self.build(schedule)
             if cached is None:
@@ -300,7 +276,7 @@ class RegionScheduleCache:
                 assembled STG could not be solved either.
         """
         if cached.visits is not None:
-            self.markov_reused += 1
+            self.counts.markov_reused += 1
             return cached.visits
         if not cached.entries:
             cached.visits = {}
@@ -308,29 +284,24 @@ class RegionScheduleCache:
         sources: Dict[int, float] = {}
         for sid, weight, _label in cached.entries:
             sources[sid] = sources.get(sid, 0.0) + weight
-        t0 = time.perf_counter()
-        try:
-            cached.visits = fragment_visits(cached.stg, sources, tracer)
-        finally:
-            self.solver_time += time.perf_counter() - t0
-        self.markov_local += 1
+        cached.visits = fragment_visits(cached.stg, sources, tracer)
+        self.counts.markov_local += 1
         return cached.visits
 
     # -- bookkeeping ----------------------------------------------------
-    def snapshot(self) -> Tuple[int, int, int, int, float, int, int, int]:
-        """Counter snapshot for per-candidate deltas.
+    def snapshot(self) -> "EvalStats":
+        """A copy of :attr:`counts` with ``region_hits``,
+        ``region_requests`` and ``region_evictions`` filled in from
+        :attr:`stats`.
 
-        The engine diffs two snapshots around each candidate and ships
-        the delta home as an :class:`~repro.core.telemetry.EvalStats` —
-        under the process-pool backend this is the *only* aggregation
-        path that sees every worker's counters (each worker owns a
-        private cache, so reading any single cache object's totals
-        under-reports; see :mod:`repro.obs.metrics`).
-
-        Order: ``(hits, misses, markov_local, markov_reused,
-        solver_time, states_built, states_reused, evictions)``.
+        The engine diffs two snapshots around each candidate
+        (``EvalStats.minus``) and ships the delta home; under the
+        process-pool backend this is the *only* aggregation path that
+        sees every worker's counters (each worker owns a private cache,
+        so reading any single cache object's totals under-reports; see
+        :mod:`repro.obs.metrics`).
         """
         s = self.stats
-        return (s.hits, s.misses, self.markov_local, self.markov_reused,
-                self.solver_time, self.states_built, self.states_reused,
-                s.evictions)
+        return replace(self.counts, region_hits=s.hits,
+                       region_requests=s.requests,
+                       region_evictions=s.evictions)

@@ -69,9 +69,6 @@ class Position:
     cycle: int
     ns: float
 
-    def advanced_to_cycle(self, cycle: int) -> "Position":
-        return Position(cycle, 0.0) if cycle > self.cycle else self
-
     @staticmethod
     def origin() -> "Position":
         return Position(0, 0.0)

@@ -72,7 +72,6 @@ class Stg:
         self.exit: int = -1
         self._next_id = 0
         self._out: Dict[int, List[Transition]] = {}
-        self._in: Dict[int, List[Transition]] = {}
 
     # ------------------------------------------------------------------
     def add_state(self, ops: Optional[Iterable[ScheduledOp]] = None,
@@ -82,7 +81,6 @@ class Stg:
         self._next_id += 1
         self.states[sid] = State(sid, list(ops or []), label)
         self._out[sid] = []
-        self._in[sid] = []
         return sid
 
     def add_transition(self, src: int, dst: int, prob: float,
@@ -97,16 +95,11 @@ class Stg:
         t = Transition(src, dst, min(prob, 1.0), label)
         self.transitions.append(t)
         self._out[src].append(t)
-        self._in[dst].append(t)
         return t
 
     def out_edges(self, sid: int) -> List[Transition]:
         """Outgoing transitions of ``sid``."""
         return list(self._out[sid])
-
-    def in_edges(self, sid: int) -> List[Transition]:
-        """Incoming transitions of ``sid``."""
-        return list(self._in[sid])
 
     def state_ids(self) -> List[int]:
         """All state ids, sorted."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdfg import BehaviorBuilder, behavior_to_dot
-from repro.cdfg.regions import BlockRegion, LoopRegion, SeqRegion
+from repro.cdfg.regions import LoopRegion, SeqRegion
 from repro.errors import CdfgError
 from repro.lang import compile_source
 
@@ -57,20 +57,6 @@ class TestRegionApi:
         assert looped.loop("L1") is loops[0]
         with pytest.raises(CdfgError):
             looped.loop("nope")
-
-    def test_owner_block(self, looped):
-        loop = looped.loop("L1")
-        body_block = next(r for r in loop.body.walk()
-                          if isinstance(r, BlockRegion))
-        some_node = body_block.nodes[0]
-        assert looped.owner_block(some_node) is body_block
-        assert looped.owner_block(loop.cond) is None  # cond section
-
-    def test_join_of(self, looped):
-        loop = looped.loop("L1")
-        assert loop.join_of("i") in looped.graph
-        with pytest.raises(CdfgError):
-            loop.join_of("ghost")
 
     def test_region_node_partition(self, looped):
         claimed = looped.region_node_ids()

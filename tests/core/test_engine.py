@@ -1,5 +1,7 @@
 """The evaluation engine: cache keys, backends, telemetry."""
 
+from unittest import mock
+
 import pytest
 
 from repro.bench import allocation_for
@@ -228,37 +230,43 @@ def _memo_served_rescores(wrong_entry=False):
     alloc = allocation_for("gcd")
     probs = profile(beh, uniform_traces(beh, 8, lo=1, hi=60,
                                         seed=3)).branch_probs
-    eng = EvaluationEngine(LIB, alloc, Objective(), branch_probs=probs)
-    if wrong_entry:
-        first = {}
-        real_get, real_put = eng.cache.get, eng.cache.put
-
-        def put(key, value):
-            first.setdefault("entry", (key, value))
-            real_put(key, value)
-
-        def get(key):
-            hit = real_get(key)
-            if hit is None or first["entry"][0] == key:
-                return hit
-            return first["entry"][1]
-
-        eng.cache.get, eng.cache.put = get, put
     served = []
-    batch = eng.evaluate_batch
 
-    def recording_batch(pairs):
-        out = batch(pairs)
-        served.extend(e for e in out if e.stats is None)
-        return out
+    def instrumented_engine(*args, **kwargs):
+        """The engine the search builds, with its memo observed (and,
+        under ``wrong_entry``, corrupted)."""
+        eng = EvaluationEngine(*args, **kwargs)
+        if wrong_entry:
+            first = {}
+            real_get, real_put = eng.cache.get, eng.cache.put
 
-    eng.evaluate_batch = recording_batch
+            def put(key, value):
+                first.setdefault("entry", (key, value))
+                real_put(key, value)
+
+            def get(key):
+                hit = real_get(key)
+                if hit is None or first["entry"][0] == key:
+                    return hit
+                return first["entry"][1]
+
+            eng.cache.get, eng.cache.put = get, put
+        batch = eng.evaluate_batch
+
+        def recording_batch(pairs):
+            out = batch(pairs)
+            served.extend(e for e in out if e.stats is None)
+            return out
+
+        eng.evaluate_batch = recording_batch
+        return eng
+
     cfg = SearchConfig(max_outer_iters=3, max_moves=2, in_set_size=3,
                        seed=1, max_candidates_per_seed=24, workers=0)
-    with eng:
+    with mock.patch("repro.core.search.EvaluationEngine",
+                    instrumented_engine):
         TransformSearch(default_library(), LIB, alloc, Objective(),
-                        branch_probs=probs, config=cfg,
-                        engine=eng).run(beh)
+                        branch_probs=probs, config=cfg).run(beh)
     mismatches = []
     for ev in served:
         with EvaluationEngine(LIB, alloc, Objective(),

@@ -6,6 +6,8 @@ library, for whole searches, and on both engine backends, what a warm
 cache serves must equal what a cold one builds.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.circuits import circuit
@@ -107,15 +109,15 @@ def test_transform_scores_identically(transform):
         assert warm.stats.hits == 0
 
 
-def _search(name, workers=0, seed=3, objective=THROUGHPUT,
-            region_caches=None):
+def _search(name, workers=0, seed=3, objective=THROUGHPUT, fact=None):
     c = circuit(name)
     beh = c.behavior()
     probs = dict(profile(beh, c.traces(beh)).branch_probs)
-    cfg = FactConfig(sched=c.sched, search=SearchConfig(
-        seed=seed, max_outer_iters=2, max_candidates_per_seed=24,
-        workers=workers))
-    fact = Fact(LIB, config=cfg, region_caches=region_caches)
+    search = SearchConfig(seed=seed, max_outer_iters=2,
+                          max_candidates_per_seed=24, workers=workers)
+    if fact is None:
+        fact = Fact(LIB, config=FactConfig(sched=c.sched))
+    fact.config = replace(fact.config, search=search)
     return fact.optimize(beh, c.allocation, branch_probs=probs,
                          objective=objective)
 
@@ -137,21 +139,22 @@ class TestSearchEquivalence:
 
 class TestSharedRegionCaches:
     def test_warm_cache_across_objectives_and_seeds(self):
-        """One registry shared by a whole campaign (the region-cache
-        namespace excludes the objective): later runs are served from
-        warm caches yet stay identical to cold-start runs."""
-        shared = {}
+        """One Fact runs a whole campaign and shares its caches across
+        runs (the region-cache namespace excludes the objective): later
+        runs are served from warm caches yet stay identical to
+        cold-start runs."""
+        c = circuit("gcd")
+        shared = Fact(LIB, config=FactConfig(sched=c.sched))
         warm, cold = [], []
         for seed in (0, 1):
             for objective in (THROUGHPUT, POWER):
                 warm.append(_fingerprint(_search(
-                    "gcd", seed=seed, objective=objective,
-                    region_caches=shared)))
+                    "gcd", seed=seed, objective=objective, fact=shared)))
                 cold.append(_fingerprint(_search(
                     "gcd", seed=seed, objective=objective)))
         assert warm == cold
-        assert len(shared) == 1          # one evaluation context
-        (cache,) = shared.values()
+        assert len(shared._region_caches) == 1   # one context
+        (cache,) = shared._region_caches.values()
         assert cache.stats.hits > 0
 
     def test_mismatched_region_cache_rejected(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Objective, POWER, SearchConfig, THROUGHPUT
-from repro.core.engine import Evaluated
+from repro.core.engine import Evaluated, EvaluationEngine
 from repro.core.search import TransformSearch
 from repro.errors import SearchError
 from repro.hw import Allocation, dac98_library
@@ -59,12 +59,6 @@ class TestObjective:
         with pytest.raises(SearchError):
             Objective("area")
 
-    def test_describe_mentions_metric(self):
-        result = scheduled(
-            "proc p(in a, out r) { r = a * a; }", {"mt1": 1})
-        text = Objective(THROUGHPUT).describe(result)
-        assert "throughput" in text
-
 
 class TestSelectionMechanics:
     def _greedy(self, k0, k_step=0.0, seed=0):
@@ -98,10 +92,9 @@ class TestSelectionMechanics:
 
     def test_unschedulable_behavior_scores_infinite(self):
         beh = compile_source("proc p(in a, out r) { r = a * a; }")
-        search = TransformSearch(
-            TransformLibrary([]), LIB, Allocation({"a1": 1}),  # no mt1
-            Objective(THROUGHPUT))
-        evaluated = search.evaluate(beh)
+        with EvaluationEngine(LIB, Allocation({"a1": 1}),  # no mt1
+                              Objective(THROUGHPUT)) as engine:
+            evaluated = engine.evaluate(beh)
         assert evaluated.score == float("inf")
         assert evaluated.result is None
 

@@ -111,7 +111,7 @@ def renumbered_twin(behavior):
 def renamed_loop(behavior):
     twin = behavior.copy()
     twin.loops()[0].name = "L9"
-    assert cached_raw_fingerprint(twin) == cached_raw_fingerprint(behavior)
+    assert cached_raw_fingerprint(twin) != cached_raw_fingerprint(behavior)
     return twin, TRACES
 
 

@@ -8,15 +8,17 @@ tests pin that serial and pool runs report identical totals.
 """
 
 import io
+import re
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro.bench import allocation_for
 from repro.core import Fact, FactConfig, SearchConfig, THROUGHPUT
+from repro.explore import ExploreConfig, ExploreRunner
 from repro.hw import dac98_library
 from repro.lang import compile_source
-from repro.profiling import uniform_traces
+from repro.profiling import profile, uniform_traces
 
 LIB = dac98_library()
 
@@ -127,6 +129,50 @@ class TestBackendIndependence:
         # tiny fraction of the serial one instead of equal to it
         assert requests_of(pool) == requests_of(serial)
         assert requests_of(pool) > 0
+
+
+@pytest.fixture(scope="module")
+def explore_telemetry(tmp_path_factory):
+    beh = compile_source(GCD_SRC)
+    traces = uniform_traces(beh, 8, lo=1, hi=60, seed=3)
+    runner = ExploreRunner(
+        beh, allocation_for("gcd"),
+        config=ExploreConfig(generations=1, population_size=4,
+                             max_candidates_per_seed=6, seed=1,
+                             warm_start=False, workers=0),
+        branch_probs=dict(profile(beh, traces).branch_probs),
+        store=tmp_path_factory.mktemp("store"))
+    return runner.run().telemetry
+
+
+class TestSummaryLines:
+    """Every count ``--stats`` prints comes from the one ``eval``
+    record (and the enumeration's ``rewrite`` counters)."""
+
+    def test_totals_line_is_the_eval_record(self, serial_and_pool):
+        for tel in serial_and_pool:
+            e = tel.eval
+            line = next(l for l in tel.summary().splitlines()
+                        if "totals (aggregated across workers)" in l)
+            assert [int(n) for n in re.findall(r"\d+", line)] == [
+                e.region_requests, e.region_hits, e.region_evictions,
+                e.states_built, e.states_reused]
+
+    def test_search_and_explore_print_the_same_counts(
+            self, serial_and_pool, explore_telemetry):
+        for tel in (*serial_and_pool, explore_telemetry):
+            e, rw = tel.eval, tel.rewrite
+            assert e.scheduled > 0
+            lines = tel.summary().splitlines()
+            incremental = next(l for l in lines
+                               if l.startswith("  incremental: "))
+            assert incremental.startswith(
+                f"  incremental: {e.scheduled} scheduled, ")
+            assert incremental.endswith(
+                f"({e.markov_local} local / {e.markov_reused} reused)")
+            assert any(l.startswith(f"  enumeration: {rw.requests} "
+                                    f"requests ({rw.memo_hits} memoized")
+                       for l in lines)
 
 
 class TestCliStats:

@@ -1,5 +1,7 @@
 """Exploration runner tests: determinism, checkpoint/resume, facade."""
 
+import pickle
+
 import pytest
 
 import repro
@@ -9,6 +11,7 @@ from repro.core.search import SearchConfig
 from repro.errors import ConfigError, ExploreError
 from repro.explore import (ExploreConfig, ExploreRunner, ParetoFront,
                            RunStore, dominates)
+from repro.explore.runner import CHECKPOINT_SCHEMA
 from repro.profiling import profile, uniform_traces
 
 GCD = """
@@ -207,6 +210,21 @@ class TestCheckpointResume:
         with open(runner.checkpoint, "wb") as handle:
             handle.write(b"\x80garbage")
         with pytest.raises(ExploreError):
+            make_runner(gcd_setup, tmp_path).run(resume=True)
+
+    def test_older_schema_checkpoint_refused(self, gcd_setup, tmp_path):
+        """A checkpoint pickles the generation records, so one written
+        before the records last changed shape is refused by name."""
+        runner = make_runner(gcd_setup, tmp_path)
+        runner.run()
+        with open(runner.checkpoint, "rb") as handle:
+            doc = pickle.load(handle)
+        doc["schema"] = 2
+        with open(runner.checkpoint, "wb") as handle:
+            pickle.dump(doc, handle)
+        assert CHECKPOINT_SCHEMA == 3
+        with pytest.raises(ExploreError,
+                           match="has schema 2; this build expects 3"):
             make_runner(gcd_setup, tmp_path).run(resume=True)
 
 

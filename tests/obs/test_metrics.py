@@ -1,5 +1,9 @@
 """MetricsRegistry unit tests: instruments, export, absorption."""
 
+from dataclasses import fields
+
+import pytest
+
 from repro.core.evalcache import CacheStats
 from repro.core.telemetry import EvalStats
 from repro.obs.metrics import MetricsRegistry
@@ -63,7 +67,7 @@ class TestAbsorption:
                           states_built=30, states_reused=10,
                           markov_local=3, markov_reused=1,
                           sched_time=0.5,
-                          solver_time=0.1)
+                          numeric_seconds=0.1)
         reg.absorb_eval_stats(stats)
         assert reg.value("engine.scheduled") == 4
         assert reg.value("region_cache.requests") == 20
@@ -73,7 +77,20 @@ class TestAbsorption:
         assert reg.value("stg.states_built") == 30
         assert reg.value("engine.reschedule_fraction") == 0.75
         assert reg.value("markov.local") == 3
-        assert reg.value("markov.solver_seconds") == 0.1
+        assert reg.value("numeric.solve_seconds") == 0.1
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(EvalStats)])
+    def test_every_eval_stats_field_reaches_the_registry(self, name):
+        """EvalStats is the one record of a run's counters: a field the
+        registry does not read would be missing from ``--stats`` totals
+        and traces."""
+        def absorbed(stats):
+            reg = MetricsRegistry()
+            reg.absorb_eval_stats(stats)
+            return reg.as_dict()
+
+        assert (absorbed(EvalStats(**{name: 3}))
+                != absorbed(EvalStats()))
 
     def test_summary_renders_every_instrument(self):
         reg = MetricsRegistry()

@@ -36,6 +36,28 @@ class TestMemoization:
         assert driver.candidates(beh)
 
 
+class TestLoopRenamedTwin:
+    """Loop matches name their loop, so a twin whose loop is renamed
+    must get its own scan, not the original's memoized list."""
+
+    @pytest.mark.parametrize("name",
+                             ("gcd", "fir", "igf", "test2", "sintran"))
+    def test_renamed_twin_is_scanned_afresh(self, name):
+        beh = circuit(name).behavior()
+        driver = RewriteDriver(default_library())
+        driver.candidates(beh)
+        twin = beh.copy()
+        twin.loops()[0].name = "RENAMED"
+        served = driver.candidates(twin)
+        assert sort_keys(served) == sort_keys(fresh_scan(twin))
+        for cand in served:
+            try:
+                driver.apply(twin, cand)
+            except ReproError as err:
+                assert "has no loop" not in str(err), cand.description
+        assert driver.stats.full_scans == 2
+
+
 class TestIncrementalParity:
     """A child's list from the driver that applied it (memo shared with
     the parent) equals a fresh scan of the child, always."""

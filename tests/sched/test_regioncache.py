@@ -52,16 +52,17 @@ class TestBitIdentity:
         """
         c, beh, probs = _setup(name)
         cache = RegionScheduleCache(context_fp="t")
+        counts = cache.counts
         first = _schedule(c, beh, probs, cache)
-        built = cache.states_built
-        solved = cache.markov_local
+        built = counts.states_built
+        solved = counts.markov_local
         second = _schedule(c, beh, probs, cache)
         assert second.stg.to_dot() == first.stg.to_dot()
         assert second.average_length() == first.average_length()
         assert cache.stats.hits > 0
-        assert cache.states_built == built       # nothing rescheduled
-        assert cache.states_reused > 0
-        assert cache.markov_local == solved      # no new local solves
+        assert counts.states_built == built       # nothing rescheduled
+        assert counts.states_reused > 0
+        assert counts.markov_local == solved      # no new local solves
 
 
 class TestLocalizedMarkov:
@@ -77,10 +78,10 @@ class TestLocalizedMarkov:
         v1 = cache.visits_of(cf)
         assert v1 is not None
         assert v1[a] == pytest.approx(2.0)   # geometric self-loop
-        assert cache.markov_local == 1
+        assert cache.counts.markov_local == 1
         assert cache.visits_of(cf) is v1
-        assert cache.markov_reused == 1
-        assert cache.markov_local == 1
+        assert cache.counts.markov_reused == 1
+        assert cache.counts.markov_local == 1
 
     def test_singular_subchain_raises(self):
         """A fragment that never reaches its exit cannot be solved in
@@ -96,7 +97,7 @@ class TestLocalizedMarkov:
         with pytest.raises(MarkovError):
             cache.visits_of(cf)
         assert cf.visits is None
-        assert cache.markov_local == 0
+        assert cache.counts.markov_local == 0
 
 
 class TestSplice:
@@ -179,7 +180,8 @@ class TestFetch:
         assert cache.fetch("k", none) is None
         assert len(calls) == 1                # the second fetch hit
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        assert cache.states_built == cache.states_reused == 0
+        assert cache.counts.states_built == 0
+        assert cache.counts.states_reused == 0
 
     def test_raising_build_stores_nothing(self):
         cache = RegionScheduleCache(context_fp="t")
@@ -191,7 +193,7 @@ class TestFetch:
         with pytest.raises(ScheduleError, match="no unit"):
             cache.fetch("k", boom)
         assert len(cache) == 0
-        assert cache.states_built == 0
+        assert cache.counts.states_built == 0
         built = cache.fetch("k", _states(2, "s"))
         assert built is not None and len(built.stg) == 2
 
@@ -207,13 +209,14 @@ class TestFetch:
             stg.add_transition(inner.exits[0][0], own.sole_entry, 1.0)
             return Frag(inner.entries, own.exits)
 
+        counts = cache.counts
         first = cache.fetch("outer-1", outer)
         assert len(first.stg) == 4
-        assert (cache.states_built, cache.states_reused) == (4, 0)
+        assert (counts.states_built, counts.states_reused) == (4, 0)
         cache.fetch("outer-2", outer)          # inner unit now hits
-        assert (cache.states_built, cache.states_reused) == (5, 3)
+        assert (counts.states_built, counts.states_reused) == (5, 3)
         cache.fetch("outer-1", outer)          # whole unit hits
-        assert (cache.states_built, cache.states_reused) == (5, 7)
+        assert (counts.states_built, counts.states_reused) == (5, 7)
 
     def test_cold_schedule_looks_up_units_and_phase_kernels_only(self):
         """test2 has a concurrent loop run and pipelineable loops, but
@@ -242,6 +245,8 @@ class TestStorage:
         assert cache.get("missing") is None
         cache.put("k", CachedFragment(Stg()))
         assert cache.get("k") is not None
-        after = cache.snapshot()
-        assert after[0] - before[0] == 1     # hits
-        assert after[1] - before[1] == 1     # misses
+        cache.counts.states_reused += 2
+        delta = cache.snapshot().minus(before)
+        assert (delta.region_hits, delta.region_requests) == (1, 2)
+        assert delta.states_reused == 2
+        assert before.states_reused == 0     # a copy, not the live record

@@ -219,11 +219,6 @@ class TestPosition:
         assert Position(1, 0.0) < Position(2, 0.0)
         assert Position(1, 5.0) < Position(1, 10.0)
 
-    def test_advanced_to_cycle(self):
-        p = Position(3, 12.0)
-        assert p.advanced_to_cycle(5) == Position(5, 0.0)
-        assert p.advanced_to_cycle(2) == p
-
 
 class TestResourceModelMemo:
     """The per-node memo follows ``graph.version``."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdfg import OpKind
-from repro.errors import AllocationError, PowerError
+from repro.errors import PowerError
 from repro.hw import (Allocation, dac98_library, memory_resource_name,
                       table1_allocation, table1_library)
 
@@ -73,15 +73,6 @@ class TestAllocation:
         assert alloc.count("comp1") == 2
         assert alloc.count("w_mult1") == 1
         assert alloc.count("missing") == 0
-
-    def test_check_feasible_passes(self):
-        table1_allocation().check_feasible(
-            [OpKind.ADD, OpKind.MUL, OpKind.LT], table1_library())
-
-    def test_check_feasible_rejects_missing_fu(self):
-        with pytest.raises(AllocationError):
-            Allocation({"cla1": 1}).check_feasible(
-                [OpKind.MUL], table1_library())
 
     def test_copy_is_independent(self):
         a = Allocation({"a1": 2})
