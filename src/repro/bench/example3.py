@@ -11,7 +11,7 @@ are expressed through complementary guards on the producing threads.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..cdfg.builder import BehaviorBuilder
 from ..cdfg.ops import OpKind

@@ -16,8 +16,8 @@ measured mW from layout; ratios are the comparable quantity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from ..baselines.flamel import run_flamel
 from ..cdfg.regions import Behavior
@@ -26,7 +26,7 @@ from ..core.objectives import POWER, THROUGHPUT
 from ..core.search import SearchConfig
 from ..hw import Library, dac98_library
 from ..sched.driver import ScheduleResult
-from .circuits import CIRCUITS, Circuit, circuit
+from .circuits import Circuit, circuit
 
 
 def default_search_config(seed: int = 2) -> SearchConfig:

@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from ..errors import CdfgError
 from .ir import Graph
-from .ops import OpKind
 
 
 @dataclass

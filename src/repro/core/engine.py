@@ -4,12 +4,15 @@ The Figure-6 search spends virtually all of its time rescheduling and
 scoring candidate behaviors.  :class:`EvaluationEngine` centralizes that
 work behind one interface so the search loop never schedules inline:
 
-* **memoization** — every behavior is keyed by its
-  :func:`repro.core.evalcache.design_key` (invariant under node
-  renumbering, and equal to the explorer's run-store key) and scored at
-  most once per run; identical candidates produced by different
-  lineages — extremely common with commutativity/associativity moves —
-  are served from the :class:`~repro.core.evalcache.EvalCache`;
+* **memoization** — :meth:`EvaluationEngine.evaluate_batch` keys every
+  behavior by its :func:`repro.core.evalcache.design_key` (invariant
+  under node renumbering, and equal to the explorer's run-store key)
+  and scores it at most once per run; identical candidates produced by
+  different lineages — extremely common with
+  commutativity/associativity moves — are served from the
+  :class:`~repro.core.evalcache.EvalCache`.  The explorer's run store
+  is its own behavior-level memo, so it calls
+  :meth:`EvaluationEngine.score_batch`, which schedules without one;
 * **parallelism** — with ``workers >= 2`` (constructor argument, or the
   ``REPRO_WORKERS`` environment variable, or ``--workers`` on the CLI)
   each generation's ``Behavior_set`` fans out across a
@@ -59,18 +62,12 @@ CACHE_SIZE = 4096
 
 @dataclass
 class Evaluated:
-    """A behavior with its schedule and score.
-
-    ``stats`` carries the incremental-evaluation counters of the
-    scheduling that produced this result; it is ``None`` for candidates
-    served from the behavior-level cache (no scheduling happened).
-    """
+    """A behavior with its schedule and score."""
 
     behavior: Behavior
     result: Optional[ScheduleResult]
     score: float
     lineage: Tuple[str, ...] = ()
-    stats: Optional[EvalStats] = None
 
 
 class EvalBudget:
@@ -98,12 +95,6 @@ class EvalBudget:
     def spent(self) -> int:
         """Scheduled evaluations since this budget was created."""
         return self.engine.eval_stats.scheduled - self._start
-
-    @property
-    def remaining(self) -> Optional[int]:
-        if self.limit is None:
-            return None
-        return max(0, self.limit - self.spent)
 
     @property
     def exhausted(self) -> bool:
@@ -360,86 +351,86 @@ class EvaluationEngine:
     def evaluate_batch(self, pairs: Sequence[Tuple[Behavior,
                                                    Tuple[str, ...]]]
                        ) -> List[Evaluated]:
-        """Score a generation, preserving input order.
+        """Score a generation through the memo, preserving input order.
 
-        Cache hits (including duplicates *within* the batch) are served
-        without scheduling; the remaining unique behaviors run on the
-        serial or process backend.  The returned list lines up with
-        ``pairs`` index-for-index, so seeded searches see identical
-        generations whichever backend ran.
+        Memo hits (including duplicates *within* the batch) are served
+        without scheduling; the remaining unique behaviors go to
+        :meth:`score_batch`.  The returned list lines up with ``pairs``
+        index-for-index, so seeded searches see identical generations
+        whichever backend ran.
         """
         self.requests += len(pairs)
-        with self.tracer.span("evaluate.batch", size=len(pairs)) as span:
-            outputs = self._evaluate_batch(pairs, span)
-        return outputs
-
-    def _evaluate_batch(self, pairs: Sequence[Tuple[Behavior,
-                                                    Tuple[str, ...]]],
-                        span) -> List[Evaluated]:
         outputs: List[Optional[Evaluated]] = [None] * len(pairs)
         # key -> indices into `pairs` awaiting that evaluation
         pending: Dict[str, List[int]] = {}
-        order: List[str] = []
         traced = self.tracer.enabled
-        for i, (behavior, lineage) in enumerate(pairs):
-            key = self.key_for(behavior)
-            if key in pending:
-                # Duplicate within this batch: merged, counts as a hit.
-                self.cache.stats.hits += 1
-                pending[key].append(i)
-                continue
-            cached = self.cache.get(key)
-            if cached is not None:
-                result, score = cached
-                outputs[i] = Evaluated(behavior, result, score, lineage)
-                if traced:
-                    with self.tracer.span("evaluate") as hit_span:
-                        hit_span.set(
-                            candidate=key[:16], cache="hit",
-                            score=score
-                            if score != float("inf") else None)
-            else:
-                pending[key] = [i]
-                order.append(key)
+        with self.tracer.span("evaluate.batch", size=len(pairs)) as span:
+            for i, (behavior, lineage) in enumerate(pairs):
+                key = self.key_for(behavior)
+                if key in pending:
+                    # Duplicate within this batch: merged, counts as a
+                    # hit.
+                    self.cache.stats.hits += 1
+                    pending[key].append(i)
+                    continue
+                cached = self.cache.get(key)
+                if cached is not None:
+                    result, score = cached
+                    outputs[i] = Evaluated(behavior, result, score,
+                                           lineage)
+                    if traced:
+                        with self.tracer.span("evaluate") as hit_span:
+                            hit_span.set(
+                                candidate=key[:16], cache="hit",
+                                score=score
+                                if score != float("inf") else None)
+                else:
+                    pending[key] = [i]
+            span.set(cache_hits=len(pairs) - len(pending),
+                     scheduled=len(pending))
         if pending:
-            firsts = [pairs[pending[key][0]][0] for key in order]
-            scored = self._score_batch(firsts, keys=order)
-            for key, (result, score, st) in zip(order, scored):
-                self.cache.put(key, (result, score))
+            keys = list(pending)
+            scored = self.score_batch(
+                [pairs[pending[key][0]][0] for key in keys], keys)
+            for key, entry in zip(keys, scored):
+                self.cache.put(key, entry)
                 for i in pending[key]:
                     behavior, lineage = pairs[i]
-                    outputs[i] = Evaluated(behavior, result, score,
-                                           lineage,
-                                           st if i == pending[key][0]
-                                           else None)
-        span.set(cache_hits=len(pairs) - len(pending),
-                 scheduled=len(pending))
+                    outputs[i] = Evaluated(behavior, *entry, lineage)
         assert all(e is not None for e in outputs)
         return outputs  # type: ignore[return-value]
 
-    def _score_batch(self, behaviors: List[Behavior], keys: List[str]
-                     ) -> List[Tuple[Optional[ScheduleResult], float,
-                                     EvalStats]]:
-        if len(behaviors) >= 2 and self.workers >= 2:
-            pool = self._ensure_pool()
+    def score_batch(self, behaviors: Sequence[Behavior],
+                    keys: Sequence[str]
+                    ) -> List[Tuple[Optional[ScheduleResult], float]]:
+        """Schedule and score every behavior, with no memo lookup.
+
+        ``keys`` are the behaviors' design keys (they label the
+        ``evaluate`` spans).  Returns one ``(result, score)`` pair per
+        behavior, in order; each candidate's counters are folded into
+        ``eval_stats``.  The explorer calls this directly: its run store
+        already serves repeats.
+        """
+        with self.tracer.span("evaluate.batch", size=len(behaviors)):
+            pool = self._ensure_pool() \
+                if len(behaviors) >= 2 and self.workers >= 2 else None
             if pool is not None:
                 chunk = max(1, len(behaviors) // (self.workers * 4))
-                shipped = list(pool.map(_eval_worker, behaviors,
-                                        chunksize=chunk))
                 scored = []
-                for i, (triple, payload) in enumerate(shipped):
-                    self.eval_stats.add(triple[2])
+                for key, (triple, payload) in zip(
+                        keys, pool.map(_eval_worker, behaviors,
+                                       chunksize=chunk)):
                     if payload:
                         self.tracer.adopt(
-                            payload, root_attrs={"candidate": keys[i][:16]})
+                            payload, root_attrs={"candidate": key[:16]})
                     scored.append(triple)
-                return scored
-        scored = [_score_one(self._ctx, b, self._region_cache,
-                             self.tracer, key)
-                  for b, key in zip(behaviors, keys)]
+            else:
+                scored = [_score_one(self._ctx, b, self._region_cache,
+                                     self.tracer, key)
+                          for b, key in zip(behaviors, keys)]
         for _result, _score, st in scored:
             self.eval_stats.add(st)
-        return scored
+        return [(result, score) for result, score, _st in scored]
 
     def _ensure_pool(self) -> Optional[Executor]:
         if self._pool is None and not self._pool_broken:

@@ -27,8 +27,8 @@ in node numbering are the same design and must.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from ..cdfg.ir import _digest
 from ..cdfg.regions import (Behavior, BlockRegion, LoopRegion, Region,
@@ -212,7 +212,3 @@ class EvalCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()

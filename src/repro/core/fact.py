@@ -27,11 +27,11 @@ from ..cdfg.regions import Behavior
 from ..errors import SearchError
 from ..hw import Allocation, Library, dac98_library
 from ..obs.trace import NULL_TRACER, AnyTracer
-from ..power.model import PowerEstimate, estimate_power
+from ..power.model import estimate_power
 from ..power.vdd import scaled_vdd_for_schedule
 from ..profiling.profiler import Profile, profile
 from ..profiling.traces import TraceSet
-from ..sched.driver import ScheduleResult, Scheduler
+from ..sched.driver import Scheduler
 from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import BranchProbs, SchedConfig
 from ..transforms import TransformLibrary, default_library

@@ -72,7 +72,7 @@ def expand_candidates(driver: RewriteDriver,
     ``Behavior_set`` as (behavior, lineage) pairs in deterministic
     enumeration order, ready for batch evaluation.
 
-    Enumeration goes through the memoizing
+    Enumeration goes through the
     :class:`~repro.rewrite.driver.RewriteDriver`, which presents
     candidates in the canonical (transform, footprint, fingerprint)
     order; children carry rewrite provenance for the engine's pair
@@ -241,9 +241,8 @@ class TransformSearch:
         #: engine each run creates.
         self.tracer: AnyTracer = tracer if tracer is not None \
             else NULL_TRACER
-        #: rewrite driver owning candidate enumeration: memoized per
-        #: behavior (raw fingerprint).  Shared across runs of this
-        #: search.
+        #: rewrite driver owning candidate enumeration, shared across
+        #: runs of this search.
         self.driver = RewriteDriver(transforms, tracer=self.tracer)
         self._fresh_from: Optional[int] = None
 

@@ -13,8 +13,7 @@ far.  A :class:`SearchTelemetry` rides along on
 the Pareto exploration runner (:mod:`repro.explore.runner`): per
 generation it tracks the candidate count, how many evaluations the
 persistent run store served, the archive (front) size, and a
-hypervolume proxy, and it aggregates the run store's hit statistics
-next to the engine cache's.
+hypervolume proxy, and it aggregates the run store's hit statistics.
 
 Both derive from :class:`RunTelemetry`, which holds what every run
 records — backend, wall time, the engine cache's :class:`CacheStats`,
@@ -57,7 +56,8 @@ class EvalStats:
 
     Attributes:
         scheduled: candidates that went through the scheduler (i.e. were
-            not served by the behavior-level evaluation cache).
+            not served by a behavior-level memo: the engine's evaluation
+            cache or the explorer's run store).
         region_requests / region_hits / region_evictions: region-
             schedule-cache lookups, hits and LRU evictions across those
             candidates.
@@ -197,8 +197,7 @@ class RunTelemetry:
             f"reschedule fraction {100 * e.reschedule_fraction:.1f}%, "
             f"solver {e.numeric_seconds * 1000:.1f} ms "
             f"({e.markov_local} local / {e.markov_reused} reused)",
-            f"  enumeration: {rw.requests} requests "
-            f"({rw.memo_hits} memoized, {rw.full_scans} full scans), "
+            f"  enumeration: {rw.requests} scans, "
             f"{rw.enum_seconds * 1000:.1f} ms",
             *self._extra_lines(),
             "  totals (aggregated across workers): region cache "
@@ -352,8 +351,10 @@ class ExploreGenerationRecord:
 class ExploreTelemetry(RunTelemetry):
     """Aggregate record of one Pareto exploration run.
 
-    ``store`` and ``cache`` are the run store's and the evaluation
-    engine's :class:`CacheStats`.  A resumed run carries forward the
+    ``store`` is the run store's :class:`CacheStats`, the run's one
+    behavior-level memo; ``cache`` (the evaluation engine's) records no
+    lookups, because the explorer schedules store misses without the
+    engine memo.  A resumed run carries forward the
     per-generation records of the interrupted one; wall times are the
     only fields that can differ between an interrupted-and-resumed run
     and an uninterrupted one — exported fronts contain no telemetry for
@@ -407,5 +408,4 @@ class ExploreTelemetry(RunTelemetry):
     def _cache_line(self) -> str:
         s = self.store
         return (f"  store: {s.hits} hits / {s.misses} "
-                f"misses (hit rate {100 * s.hit_rate:.1f}%); "
-                f"engine cache hit rate {100 * self.cache.hit_rate:.1f}%")
+                f"misses (hit rate {100 * s.hit_rate:.1f}%)")

@@ -13,16 +13,17 @@ transformation space:
 3. each generation expands the population through the shared
    :func:`repro.core.search.expand_candidates` step, evaluates every
    candidate through the persistent :class:`~repro.explore.store
-   .RunStore` (misses are scheduled by the
-   :class:`~repro.core.engine.EvaluationEngine`, fanning out across its
-   ``ProcessPoolExecutor`` when ``workers >= 2``), folds the results
-   into the elitist :class:`~repro.explore.pareto.ParetoFront` archive,
-   and selects the next population by non-dominated sorting + crowding
-   distance.
+   .RunStore` (misses are scheduled by
+   :meth:`~repro.core.engine.EvaluationEngine.score_batch`, fanning out
+   across its ``ProcessPoolExecutor`` when ``workers >= 2``), folds the
+   results into the elitist :class:`~repro.explore.pareto.ParetoFront`
+   archive, and selects the next population by non-dominated sorting +
+   crowding distance.
 
 Every evaluation — the input, the warm-start results, transferred
 designs and each generation — takes one store-then-engine path
-(:meth:`ExploreRunner._resolve`), keyed by the engine's design keys.
+(:meth:`ExploreRunner._resolve`), keyed once by the engine's design
+keys; the store is the only behavior-level memo on it.
 
 **Determinism / resume contract**: the trajectory is a pure function of
 (seed, config, evaluation context).  After every generation the full
@@ -55,11 +56,11 @@ from ..errors import ExploreError, ReproError
 from ..hw import Allocation, Library, dac98_library
 from ..obs.trace import NULL_TRACER, AnyTracer
 from ..power.model import estimate_power
+from ..sched.driver import ScheduleResult
 from ..sched.types import BranchProbs, SchedConfig
 from ..synth.area import total_area
 from ..transforms import TransformLibrary, default_library
-from ..core.engine import (Evaluated, EvaluationEngine,
-                           context_fingerprint)
+from ..core.engine import EvaluationEngine, context_fingerprint
 from ..core.evalcache import cached_fingerprint
 from ..core.fact import Fact, FactConfig
 from ..core.objectives import POWER, THROUGHPUT, Objective
@@ -180,8 +181,7 @@ class ExploreRunner:
             sched=cfg.sched, search=cfg.warm_start_search(),
             vdd=cfg.vdd, vt=cfg.vt), trace=self.tracer)
         #: rewrite driver owning candidate enumeration for the main
-        #: loop (memoized per behavior); shared across generations and
-        #: across resume.
+        #: loop; shared across generations and across resume.
         self.driver = RewriteDriver(self.transforms, tracer=self.tracer)
         self.run_fingerprint = _digest(
             (self._context_fp + "|"
@@ -462,10 +462,11 @@ class ExploreRunner:
     def _resolve(self, behaviors: Sequence[Behavior],
                  engine: EvaluationEngine
                  ) -> Tuple[List[Tuple[str, StoredEval]], int]:
-        """The store-then-engine step: key each behavior through the
-        engine, read the store, schedule the misses (each distinct key
-        once), measure them and write them back.  Returns one (key,
-        record) per behavior and how many were scheduled."""
+        """The store-then-engine step: key each behavior once through
+        the engine, read the store, schedule the misses (each distinct
+        key once, with no engine memo behind the store), measure them
+        and write them back.  Returns one (key, record) per behavior and
+        how many were scheduled."""
         keys = [engine.key_for(behavior) for behavior in behaviors]
         resolved: Dict[str, StoredEval] = {}
         misses: List[Tuple[Behavior, str]] = []
@@ -481,18 +482,17 @@ class ExploreRunner:
                 resolved[key] = StoredEval(None)  # placeholder
                 misses.append((behavior, key))
         if misses:
-            evaluated = engine.evaluate_batch(
-                [(behavior, ()) for behavior, _ in misses])
-            for (_, key), ev in zip(misses, evaluated):
-                metrics = self._measure(ev)
+            scored = engine.score_batch([b for b, _ in misses],
+                                        [key for _, key in misses])
+            for (_, key), (result, _score) in zip(misses, scored):
+                metrics = self._measure(result)
                 self.store.put(key, metrics)
                 resolved[key] = StoredEval(metrics)
         return [(key, resolved[key]) for key in keys], len(misses)
 
-    def _measure(self, evaluated: Evaluated
+    def _measure(self, result: Optional[ScheduleResult]
                  ) -> Optional[DesignMetrics]:
-        """Evaluated schedule → raw metrics (None if infeasible)."""
-        result = evaluated.result
+        """Schedule → raw metrics (None if infeasible)."""
         if result is None:
             return None
         cfg = self.config

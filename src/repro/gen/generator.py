@@ -29,7 +29,7 @@ on the returned :class:`GeneratedCircuit` so the shrinker
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cdfg.regions import Behavior

@@ -52,7 +52,7 @@ from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import SchedConfig
 from ..stg.simulate import simulate
 from ..transforms import Candidate, default_library
-from .generator import GEN_SCHEMA_VERSION, GenConfig, GeneratedCircuit
+from .generator import GenConfig, GeneratedCircuit
 
 #: Traces shared by every oracle on one circuit (seeded per circuit).
 TRACE_RUNS = 6

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from ..errors import ReproError
 from .generator import (GAssign, GBinary, GConst, GExpr, GFor, GIf,

@@ -15,7 +15,7 @@ consistent with Table 1's ratios (multiplier ≈ 2× adder, incrementer
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .cdfg.ops import OpKind
 from .errors import PowerError

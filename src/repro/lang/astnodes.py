@@ -9,7 +9,7 @@ detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Union
 
 # ---------------------------------------------------------------------------
 # Expressions

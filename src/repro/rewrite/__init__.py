@@ -7,9 +7,9 @@ This package splits every behavioral transformation into
   a declared node footprint and a stable fingerprint),
 * shared, cached **analyses**
   (:class:`~repro.rewrite.analyses.AnalysisManager`), and
-* a memoizing enumeration **driver**
-  (:class:`~repro.rewrite.driver.RewriteDriver`) that serves each
-  behavior's candidates in one canonical order.
+* an enumeration **driver**
+  (:class:`~repro.rewrite.driver.RewriteDriver`) that scans each
+  behavior's candidates and serves them in one canonical order.
 
 See ``docs/transformations.md`` for the authoring guide.
 """

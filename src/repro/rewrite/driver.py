@@ -1,16 +1,11 @@
-"""Memoizing candidate-enumeration driver.
+"""Candidate-enumeration driver.
 
 :class:`RewriteDriver` serves every candidate list the search and the
 explorer read.  A list is one full scan of the library
 (:meth:`~repro.transforms.base.TransformLibrary.candidates`), sorted
-into the canonical (transform, footprint, fingerprint) order and
-memoized per behavior, keyed on the *raw* (id-sensitive) fingerprint:
-seeds that survive between generations, or identical children reached
-through different lineages with identical numbering, cost one
-dictionary lookup.  Matches name concrete node ids, which is why the
-memo keys on the raw fingerprint — the canonical
-(renumbering-invariant) fingerprint would merge twins whose ids mean
-different things.
+into the canonical (transform, footprint, fingerprint) order; every
+request scans afresh.  Matches name concrete node ids, so a list is
+only meaningful on the exact behavior it was enumerated on.
 
 :meth:`RewriteDriver.apply` records provenance on each child: the dirty
 set the macro chains follow, and the (parent, match) pair the
@@ -23,7 +18,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
-from ..core.evalcache import EvalCache, cached_raw_fingerprint
+from ..core.evalcache import cached_raw_fingerprint
 from ..errors import ReproError
 from ..obs.trace import NULL_TRACER, Tracer
 
@@ -31,18 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cdfg.regions import Behavior
     from ..transforms.base import Candidate, TransformLibrary
 
-#: Behaviors whose candidate lists one driver keeps (LRU).
-MEMO_ENTRIES = 512
-
 
 @dataclass
 class RewriteStats:
     """Counters describing the driver's enumeration work."""
 
+    #: candidate-list requests, each one library scan
     requests: int = 0
-    memo_hits: int = 0
-    #: library scans (one per request the memo could not serve)
-    full_scans: int = 0
     applies: int = 0
     enum_seconds: float = 0.0
     apply_seconds: float = 0.0
@@ -69,13 +59,12 @@ class RewriteStats:
 
 
 class RewriteDriver:
-    """Memoizing candidate enumerator over a library."""
+    """Canonically ordered candidate enumerator over a library."""
 
     def __init__(self, library: "TransformLibrary", *,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.library = library
         self.stats = RewriteStats()
-        self._memo = EvalCache(max_entries=MEMO_ENTRIES)
         self._tracer = tracer
 
     # -- application ---------------------------------------------------
@@ -106,19 +95,12 @@ class RewriteDriver:
         (transform, footprint, fingerprint)."""
         t0 = time.perf_counter()
         self.stats.requests += 1
-        fp = cached_raw_fingerprint(behavior)
-        cands = self._memo.get(fp)
-        if cands is None:
-            with self._tracer.span("rewrite.enumerate",
-                                   nodes=len(behavior.graph.nodes)):
-                cands = sorted(self.library.candidates(behavior),
-                               key=lambda c: c.sort_key)
-            self.stats.full_scans += 1
-            self._memo.put(fp, cands)
-        else:
-            self.stats.memo_hits += 1
+        with self._tracer.span("rewrite.enumerate",
+                               nodes=len(behavior.graph.nodes)):
+            cands = sorted(self.library.candidates(behavior),
+                           key=lambda c: c.sort_key)
         self.stats.enum_seconds += time.perf_counter() - t0
-        return list(cands)
+        return cands
 
     def chains(self, behavior: "Behavior", *, depth: int = 2,
                limit: int = 8, max_branch: int = 2,
@@ -141,8 +123,7 @@ class RewriteDriver:
         order; only chains of length >= 2 are returned (single rewrites
         are the ordinary neighborhood).  Enumeration is deterministic:
         roots and follow-ups are visited in the canonical candidate
-        order, and every intermediate enumeration goes through the
-        memo.
+        order.
         """
         out: List[Tuple["Behavior", Tuple["Candidate", ...]]] = []
         if depth < 2 or limit <= 0:

@@ -4,14 +4,13 @@ A :class:`Match` is a declarative rewrite record: it names the pattern
 that produced it, the node ids it will touch (``footprint``), and a
 picklable ``params`` tuple with everything ``apply()`` needs to re-find
 the rewrite site.  Because a match carries no closures it can be hashed,
-deduplicated across lineages, cached by the enumeration driver, and
-shipped to pool workers.
+deduplicated across lineages, and shipped to pool workers.
 
 Matches name *concrete node ids*, so they are only meaningful on the
 exact behavior (including numbering) they were enumerated on — the
-driver keys its memo on the raw fingerprint
-(:func:`repro.core.evalcache.behavior_raw_fingerprint`) for this
-reason.
+enumeration driver scans every behavior it is asked about for this
+reason, and the engine's provenance index keys on the parent's raw
+fingerprint (:func:`repro.core.evalcache.behavior_raw_fingerprint`).
 
 A :class:`RewritePattern` implements either :meth:`RewritePattern
 .match_at` (matches rooted at a single node; the default

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cdfg.analysis import Guard, conflicts
 from ..cdfg.ops import OpKind
-from ..cdfg.regions import BlockRegion, LoopRegion, SeqRegion
+from ..cdfg.regions import LoopRegion
 from ..errors import ScheduleError
 from ..stg.model import ScheduledOp
 from .acyclic import _EPS, schedule_acyclic

@@ -13,13 +13,11 @@ sizes down (estimated in :mod:`repro.synth.interconnect`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..cdfg.analysis import GuardAnalysis
 from ..cdfg.ir import Graph
-from ..cdfg.ops import OpKind
 from ..errors import SynthError
-from ..hw import Library, memory_resource_name
 from ..sched.driver import ScheduleResult
 from ..sched.types import ResourceModel
 

@@ -10,15 +10,10 @@ makes binding results inspectable in tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
-from ..cdfg.ir import Graph
-from ..cdfg.ops import FREE_KINDS, OpKind
-from ..sched.driver import ScheduleResult
 from .area import SynthesizedDesign
-from .binding import Binding, FuInstance
-from .interconnect import _source_name
-from .registers import RegisterAllocation
+from .binding import FuInstance
 
 
 def netlist_text(design: SynthesizedDesign) -> str:

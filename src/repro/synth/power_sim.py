@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cdfg.ops import DEFAULT_WIDTH, OpKind
 from ..errors import SynthError

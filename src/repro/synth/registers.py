@@ -11,11 +11,10 @@ left-edge algorithm (Kurdahi & Parker).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..cdfg.ir import Graph
 from ..cdfg.ops import FREE_KINDS, OpKind
-from ..errors import SynthError
 from ..sched.driver import ScheduleResult
 
 

@@ -17,9 +17,8 @@ from .cleanup import dead_code_elimination, discard_from_regions
 from .code_motion import (LoopInvariantMotion, Speculation,
                           hoist_out_of_loop, speculate)
 from .commutativity import Commutativity
-from .constprop import ConstantPropagation, fold_all_constants
-from .cse import (CommonSubexpression, eliminate_all_cse,
-                  merge_duplicates_inplace)
+from .constprop import ConstantPropagation
+from .cse import CommonSubexpression, merge_duplicates_inplace
 from .distributivity import Distributivity, resolve_threads
 from .loop_fusion import LoopFusion, fuse_loops, loops_independent
 from .loop_unroll import LoopUnrolling, unroll_loop
@@ -77,9 +76,8 @@ __all__ = [
     "StrengthReduction",
     "TransformLibrary", "Transformation", "collect_assoc_leaves",
     "collect_signed_leaves", "csd_digits", "dead_code_elimination",
-    "default_library", "discard_from_regions", "eliminate_all_cse",
-    "eliminate_branch", "flamel_library", "fold_all_constants",
-    "fuse_loops", "hoist_out_of_loop", "loops_independent",
-    "merge_duplicates_inplace", "resolve_threads", "speculate",
-    "speculative_unroll", "unroll_loop",
+    "default_library", "discard_from_regions", "eliminate_branch",
+    "flamel_library", "fuse_loops", "hoist_out_of_loop",
+    "loops_independent", "merge_duplicates_inplace", "resolve_threads",
+    "speculate", "speculative_unroll", "unroll_loop",
 ]

@@ -166,9 +166,8 @@ class TransformLibrary:
         The one enumeration scan: every transformation matches against
         one shared :class:`~repro.rewrite.analyses.AnalysisManager`, and
         a match repeated within one transformation is kept once.
-        :class:`~repro.rewrite.driver.RewriteDriver` sorts and memoizes
-        this list; the Flamel baseline and the fold-to-fixpoint loops
-        read it as is.
+        :class:`~repro.rewrite.driver.RewriteDriver` sorts this list;
+        the Flamel baseline reads it as is.
         """
         from ..rewrite.analyses import AnalysisManager
         analyses = AnalysisManager(behavior)

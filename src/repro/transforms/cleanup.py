@@ -10,9 +10,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Optional, Set
 
-from ..cdfg.ir import Graph
 from ..cdfg.ops import OpKind
 from ..cdfg.regions import Behavior, BlockRegion, LoopRegion, Region
 from ..errors import TransformError

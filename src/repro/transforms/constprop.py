@@ -104,15 +104,3 @@ class ConstantPropagation(Transformation):
                 g.replace_uses(nid, other)
             else:
                 g.replace_uses(nid, fresh_const(behavior, 0))
-
-
-def fold_all_constants(behavior: Behavior) -> Behavior:
-    """Repeatedly fold until fixpoint (used by the Flamel baseline)."""
-    t = ConstantPropagation()
-    current = behavior
-    for _ in range(1000):
-        candidates = t.find(current)
-        if not candidates:
-            return current
-        current = candidates[0].apply(current)
-    return current

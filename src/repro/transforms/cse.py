@@ -21,9 +21,11 @@ from ..cdfg.regions import Behavior
 from ..rewrite.analyses import AnalysisManager
 from ..rewrite.pattern import Match
 from .base import Transformation
-from .cleanup import owner_region
 
 _EXCLUDED = FREE_KINDS | {OpKind.LOAD, OpKind.STORE, OpKind.SELECT}
+
+#: Scans :func:`merge_duplicates_inplace` makes at most.
+MAX_ROUNDS = 50
 
 
 def _signature(g: Graph, nid: int):
@@ -43,7 +45,6 @@ class CommonSubexpression(Transformation):
     def match(self, behavior: Behavior,
               analyses: AnalysisManager) -> List[Match]:
         g = behavior.graph
-        owners = analyses.region_map
         groups: Dict[Tuple, List[int]] = {}
         for nid in g.node_ids():
             node = g.nodes[nid]
@@ -53,11 +54,15 @@ class CommonSubexpression(Transformation):
                 continue
             groups.setdefault(_signature(g, nid), []).append(nid)
         out: List[Match] = []
-        for sig, members in sorted(groups.items(),
-                                   key=lambda kv: kv[1][0]):
+        # node_ids() is sorted, so the groups already come in the order
+        # of their first member.
+        for sig, members in groups.items():
             if len(members) < 2:
                 continue
             # Partition by owning region; merge within each region only.
+            # (The region map is built on the first duplicate: most
+            # hygiene scans find none.)
+            owners = analyses.region_map
             by_region: Dict[int, List[int]] = {}
             for nid in members:
                 by_region.setdefault(id(owners.get(nid)), []).append(nid)
@@ -83,55 +88,22 @@ class CommonSubexpression(Transformation):
                     g.add_control_edge(keep, dst, pol)
 
 
-def merge_duplicates_inplace(behavior: Behavior,
-                             max_rounds: int = 50) -> int:
+def merge_duplicates_inplace(behavior: Behavior) -> int:
     """In-place fixpoint CSE (the graph-hygiene entry point).
 
-    Returns the number of merges performed.  Unlike the
-    :class:`CommonSubexpression` *transformation*, this mutates the
-    given behavior directly and is safe to run after any rewrite.
+    Each round applies every match of one :class:`CommonSubexpression`
+    scan to ``behavior`` itself, until a scan finds none (at most
+    :data:`MAX_ROUNDS` rounds: merging can expose new duplicates).
+    Returns the number of merges performed.  Safe to run after any
+    rewrite.
     """
-    g = behavior.graph
+    cse = CommonSubexpression()
     merges = 0
-    for _ in range(max_rounds):
-        groups: Dict[Tuple, List[int]] = {}
-        for nid in g.node_ids():
-            node = g.nodes[nid]
-            if node.kind in _EXCLUDED:
-                continue
-            if not g.data_users(nid) and not g.control_users(nid):
-                continue  # already merged away / dead: DCE's business
-            groups.setdefault(_signature(g, nid), []).append(nid)
-        changed = False
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            by_region: Dict[int, List[int]] = {}
-            for nid in members:
-                region = owner_region(behavior, nid)
-                by_region.setdefault(id(region), []).append(nid)
-            for group in by_region.values():
-                keep = group[0]
-                for nid in group[1:]:
-                    g.replace_uses(nid, keep)
-                    for dst, pol in g.control_users(nid):
-                        g.remove_control_edge(nid, dst, pol)
-                        g.add_control_edge(keep, dst, pol)
-                    changed = True
-                    merges += 1
-        if not changed:
+    for _ in range(MAX_ROUNDS):
+        matches = cse.match(behavior, AnalysisManager(behavior))
+        if not matches:
             break
+        for match in matches:
+            cse.apply(behavior, match)
+            merges += len(match.params[1])
     return merges
-
-
-def eliminate_all_cse(behavior: Behavior) -> Behavior:
-    """Apply CSE to fixpoint (merging can expose new duplicates)."""
-    t = CommonSubexpression()
-    current = behavior
-    for _ in range(1000):
-        candidates = t.find(current)
-        if not candidates:
-            return current
-        for cand in candidates:
-            current = cand.apply(current)
-    return current

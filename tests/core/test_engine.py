@@ -220,8 +220,9 @@ class TestProvenanceIndex:
 
 def _memo_served_rescores(wrong_entry=False):
     """Run a seeded gcd search, then re-score every behavior the memo
-    served (``stats is None``: a cache hit or an in-batch duplicate)
-    through a fresh engine.  Returns ``(served, mismatches)``.
+    served (one :meth:`score_batch` did not schedule: a cache hit or an
+    in-batch duplicate) through a fresh engine.  Returns ``(served,
+    mismatches)``.
 
     ``wrong_entry`` answers each memo hit with another key's entry
     (the first one stored), the fault this check exists to catch.
@@ -251,14 +252,28 @@ def _memo_served_rescores(wrong_entry=False):
                 return first["entry"][1]
 
             eng.cache.get, eng.cache.put = get, put
-        batch = eng.evaluate_batch
+        batch, score = eng.evaluate_batch, eng.score_batch
+        scheduled = []
+
+        def recording_score(behaviors, keys):
+            scheduled.extend(behaviors)
+            return score(behaviors, keys)
 
         def recording_batch(pairs):
+            scheduled.clear()
             out = batch(pairs)
-            served.extend(e for e in out if e.stats is None)
+            # score_batch gets each key's first occurrence; every other
+            # entry was served.
+            fresh = [id(b) for b in scheduled]
+            for e in out:
+                if id(e.behavior) in fresh:
+                    fresh.remove(id(e.behavior))
+                else:
+                    served.append(e)
             return out
 
-        eng.evaluate_batch = recording_batch
+        eng.evaluate_batch, eng.score_batch = recording_batch, \
+            recording_score
         return eng
 
     cfg = SearchConfig(max_outer_iters=3, max_moves=2, in_set_size=3,

@@ -171,7 +171,7 @@ class TestSummaryLines:
             assert incremental.endswith(
                 f"({e.markov_local} local / {e.markov_reused} reused)")
             assert any(l.startswith(f"  enumeration: {rw.requests} "
-                                    f"requests ({rw.memo_hits} memoized")
+                                    f"scans, ")
                        for l in lines)
 
 

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro import JobState
 from repro.cdfg.ir import Graph
+from repro.core.engine import EvaluationEngine
 from repro.core.search import SearchConfig
 from repro.errors import ConfigError, ExploreError
 from repro.explore import (ExploreConfig, ExploreRunner, ParetoFront,
@@ -121,6 +122,34 @@ class TestRun:
         runner.run()
         assert len({(id(g), v) for g, v in hashed}) == len(hashed)
         assert len(hashed) <= len(keys) + runner.store.stats.hits
+
+    def test_store_is_the_only_behavior_memo(self, gcd_setup, tmp_path,
+                                             monkeypatch):
+        """The run store serves every repeat, so the engine behind it
+        keys each resolved behavior once, makes no memo lookup, and
+        schedules exactly the store's misses."""
+        resolved, key_calls = [], []
+        real_resolve = ExploreRunner._resolve
+        real_key_for = EvaluationEngine.key_for
+
+        def recording_resolve(runner, behaviors, engine):
+            resolved.extend(behaviors)
+            return real_resolve(runner, behaviors, engine)
+
+        def counting_key_for(engine, behavior):
+            key_calls.append(behavior)
+            return real_key_for(engine, behavior)
+
+        monkeypatch.setattr(ExploreRunner, "_resolve", recording_resolve)
+        monkeypatch.setattr(EvaluationEngine, "key_for", counting_key_for)
+        cfg = small_config(workers=0)
+        cfg.warm_start = False
+        runner = make_runner(gcd_setup, tmp_path, config=cfg)
+        telemetry = runner.run().telemetry
+        assert telemetry.cache.requests == 0
+        assert len(resolved) > len(telemetry.generations)
+        assert len(key_calls) == len(resolved)
+        assert telemetry.eval.scheduled == runner.store.stats.misses > 0
 
     def test_unschedulable_input_raises(self, tmp_path):
         beh = repro.compile(GCD)

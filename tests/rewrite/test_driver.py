@@ -1,9 +1,10 @@
-"""RewriteDriver: memoization, canonical order, provenance."""
+"""RewriteDriver: one scan per request, canonical order, provenance."""
 
 import pytest
 
 from repro.bench.circuits import circuit
 from repro.errors import ReproError
+from repro.obs.trace import Tracer
 from repro.rewrite import RewriteDriver
 from repro.transforms import default_library
 
@@ -17,16 +18,16 @@ def fresh_scan(behavior):
                   key=lambda c: c.sort_key)
 
 
-class TestMemoization:
-    def test_repeat_request_hits_memo(self):
+class TestEnumeration:
+    def test_each_request_scans(self):
         beh = circuit("gcd").behavior()
-        driver = RewriteDriver(default_library())
+        tracer = Tracer()
+        driver = RewriteDriver(default_library(), tracer=tracer)
         first = driver.candidates(beh)
         again = driver.candidates(beh)
         assert sort_keys(first) == sort_keys(again)
-        assert driver.stats.memo_hits == 1
         assert driver.stats.requests == 2
-        assert driver.stats.full_scans == 1
+        assert [s.name for s in tracer.spans] == ["rewrite.enumerate"] * 2
 
     def test_results_are_private_copies(self):
         beh = circuit("gcd").behavior()
@@ -38,7 +39,7 @@ class TestMemoization:
 
 class TestLoopRenamedTwin:
     """Loop matches name their loop, so a twin whose loop is renamed
-    must get its own scan, not the original's memoized list."""
+    must get its own scan, not the original's list."""
 
     @pytest.mark.parametrize("name",
                              ("gcd", "fir", "igf", "test2", "sintran"))
@@ -55,12 +56,12 @@ class TestLoopRenamedTwin:
                 driver.apply(twin, cand)
             except ReproError as err:
                 assert "has no loop" not in str(err), cand.description
-        assert driver.stats.full_scans == 2
+        assert driver.stats.requests == 2
 
 
 class TestIncrementalParity:
-    """A child's list from the driver that applied it (memo shared with
-    the parent) equals a fresh scan of the child, always."""
+    """A child's list from the driver that applied it equals a fresh
+    scan of the child, always."""
 
     @pytest.mark.parametrize("name", ["gcd", "fir", "test2"])
     def test_every_child_matches_full_rescan(self, name):

@@ -69,3 +69,70 @@ def test_every_declared_dependency_is_imported():
     unused = declared_dependencies() - third_party_imports()
     assert not unused, f"in [project].dependencies but never imported: " \
                        f"{sorted(unused)}"
+
+
+def _annotation_names(tree):
+    """Names read inside type expressions, quoted ones included: every
+    annotation, and every subscript (``Union[str, "os.PathLike[str]"]``
+    in a type alias)."""
+    found = set()
+    types = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            types.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            types.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            types.append(node.annotation)
+        elif isinstance(node, ast.Subscript):
+            types.append(node.slice)
+    for root in types:
+        for sub in ast.walk(root):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    quoted = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                found.update(n.id for n in ast.walk(quoted)
+                             if isinstance(n, ast.Name))
+    return found
+
+
+def _exported_names(tree):
+    """Strings listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(path):
+    """Names ``path`` imports but never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    used |= _annotation_names(tree) | _exported_names(tree)
+    return sorted(f"{name} (line {line})"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_every_imported_name_is_used():
+    """A package's ``__init__`` re-exports what it imports; any other
+    module must read every name it imports, as a name, inside a quoted
+    annotation, or in ``__all__``."""
+    unused = {str(path.relative_to(PACKAGE)): names
+              for path in sorted(PACKAGE.rglob("*.py"))
+              if path.name != "__init__.py"
+              for names in [unused_imports(path)] if names}
+    assert not unused, f"imported but never used: {unused}"
